@@ -1,11 +1,10 @@
 // Control-plane resilience bench: (1) write-ahead job-journal append and
-// encode/decode throughput, (2) the control-plane tax — end-to-end job
-// throughput through the sharded plane (routing + journal + tenant
-// admission) against a bare JobService, and (3) sustained throughput under
-// seeded replica kills with the post-run resilience ledger (kills,
-// failovers, resumed jobs, fenced appends). Dumps BENCH_control_plane.json;
-// CI's nightly control-plane soak runs `control_plane_bench --smoke` and
-// archives the file.
+// encode/decode throughput, (2) end-to-end job throughput through the
+// sharded plane (routing + journal + tenant admission), and (3) sustained
+// throughput under seeded replica kills with the post-run resilience
+// ledger (kills, failovers, resumed jobs, fenced appends). Dumps
+// BENCH_control_plane.json; CI's nightly control-plane soak runs
+// `control_plane_bench --smoke` and archives the file.
 
 #include <chrono>
 #include <cstdio>
@@ -114,20 +113,7 @@ int main(int argc, char** argv) {
               journal.records, journal.appends_per_sec, journal.encode_ms,
               journal.decode_ms);
 
-  // ---- the control-plane tax ---------------------------------------------
-  double direct_jps = 0.0;
-  {
-    IresServer server;
-    if (!server.ImportLibrary(workload.library).ok()) return 1;
-    JobService::Options options;
-    options.workers = 4;
-    options.queue_capacity = 64;
-    JobService jobs(&server, options);
-    direct_jps = RunServing(
-        serving_jobs,
-        [&] { return jobs.Submit(workload.graph, "text").ok(); },
-        [&] { jobs.WaitForIdle(300.0); });
-  }
+  // ---- plane throughput --------------------------------------------------
   double plane_jps = 0.0;
   {
     IresServer server;
@@ -144,11 +130,7 @@ int main(int argc, char** argv) {
         [&] { return plane.Submit(workload.graph, request).ok(); },
         [&] { plane.WaitForIdle(300.0); });
   }
-  const double tax_pct =
-      direct_jps <= 0.0 ? 0.0 : (1.0 - plane_jps / direct_jps) * 100.0;
-  std::printf("serving  direct=%.1f jobs/s  plane=%.1f jobs/s  "
-              "tax=%.1f%%\n",
-              direct_jps, plane_jps, tax_pct);
+  std::printf("serving  plane=%.1f jobs/s\n", plane_jps);
 
   // ---- throughput under replica kills ------------------------------------
   ChaosResult chaos;
@@ -194,15 +176,14 @@ int main(int argc, char** argv) {
       "  \"mode\": \"%s\",\n"
       "  \"journal\": {\"records\": %d, \"appends_per_sec\": %.0f, "
       "\"encode_ms\": %.3f, \"decode_ms\": %.3f},\n"
-      "  \"serving\": {\"jobs\": %d, \"direct_jobs_per_sec\": %.2f, "
-      "\"plane_jobs_per_sec\": %.2f, \"plane_tax_pct\": %.2f},\n"
+      "  \"serving\": {\"jobs\": %d, \"plane_jobs_per_sec\": %.2f},\n"
       "  \"chaos\": {\"jobs\": %d, \"jobs_per_sec\": %.2f, "
       "\"kills\": %llu, \"failovers\": %llu, \"resumed\": %d, "
       "\"fenced_appends\": %llu, \"torn_appends\": %llu}\n"
       "}\n",
       smoke ? "smoke" : "full", journal.records, journal.appends_per_sec,
-      journal.encode_ms, journal.decode_ms, serving_jobs, direct_jps,
-      plane_jps, tax_pct, chaos_jobs, chaos.jobs_per_sec,
+      journal.encode_ms, journal.decode_ms, serving_jobs, plane_jps,
+      chaos_jobs, chaos.jobs_per_sec,
       static_cast<unsigned long long>(chaos.kills),
       static_cast<unsigned long long>(chaos.failovers), chaos.resumed,
       static_cast<unsigned long long>(chaos.fenced),

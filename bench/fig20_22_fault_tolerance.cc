@@ -44,11 +44,13 @@ CaseResult RunCase(const std::string& fail_algorithm,
   DpPlanner planner(&w.library, registry.get());
   Enforcer enforcer(registry.get(), &cluster, 99);
   bool fired = false;
-  enforcer.set_fault_injector(
-      [&fired, fail_algorithm](const PlanStep& step, double) {
-        if (fired || step.algorithm != fail_algorithm) return false;
+  enforcer.set_fault_oracle(
+      [&fired, fail_algorithm](const PlanStep& step, double, int) {
+        if (fired || step.algorithm != fail_algorithm) {
+          return Enforcer::FaultDecision{};
+        }
         fired = true;
-        return true;
+        return Enforcer::FaultDecision{true, FailureKind::kEngineCrash};
       });
   RecoveringExecutor recovering(&planner, &enforcer, registry.get());
   auto outcome = recovering.Run(w.graph, {}, strategy);

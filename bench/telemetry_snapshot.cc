@@ -16,7 +16,7 @@
 
 #include "core/ires_server.h"
 #include "core/rest_api.h"
-#include "service/job_service.h"
+#include "service/control_plane.h"
 #include "telemetry/event_journal.h"
 
 namespace {
@@ -96,11 +96,11 @@ double RunServingWorkload(int rounds, bool journal_enabled,
                           std::string* snapshot_to) {
   IresServer server;
   server.journal().set_enabled(journal_enabled);
-  JobService::Options options;
-  options.workers = 4;
-  options.queue_capacity = 256;
-  JobService jobs(&server, options);
-  RestApi api(&server, &jobs);
+  ControlPlane::Options options;
+  options.replica_options.workers = 4;
+  options.replica_options.queue_capacity = 256;
+  ControlPlane plane(&server, options);
+  RestApi api(&server, &plane);
   Register(&api);
 
   const double start = NowSeconds();
@@ -114,7 +114,7 @@ double RunServingWorkload(int rounds, bool journal_enabled,
       std::exit(1);
     }
   }
-  if (!jobs.WaitForIdle(120.0)) {
+  if (!plane.WaitForIdle(120.0)) {
     std::fprintf(stderr, "jobs did not drain\n");
     std::exit(1);
   }

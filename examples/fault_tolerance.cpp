@@ -43,12 +43,15 @@ int main() {
   // Kill the engine of HelloWorld2 the first time it starts.
   Enforcer enforcer(registry.get(), &cluster, 4242);
   bool fired = false;
-  enforcer.set_fault_injector([&fired](const PlanStep& step, double now) {
-    if (fired || step.algorithm != "HelloWorld2") return false;
+  enforcer.set_fault_oracle([&fired](const PlanStep& step, double now,
+                                     int) {
+    if (fired || step.algorithm != "HelloWorld2") {
+      return Enforcer::FaultDecision{};
+    }
     fired = true;
     std::printf(">>> t=%.1fs: engine %s dies while starting %s\n", now,
                 step.engine.c_str(), step.name.c_str());
-    return true;
+    return Enforcer::FaultDecision{true, FailureKind::kEngineCrash};
   });
 
   RecoveringExecutor recovering(&planner, &enforcer, registry.get());

@@ -14,7 +14,6 @@
 #include "cluster/cluster_simulator.h"
 #include "core/model_library.h"
 #include "executor/enforcer.h"
-#include "executor/execution_monitor.h"
 #include "executor/recovering_executor.h"
 #include "modeling/drift.h"
 #include "modeling/refinement.h"
@@ -66,9 +65,9 @@ const char* ArtifactKindName(ArtifactKind kind);
 ///
 /// Concurrency: RegisterArtifact, PlanWorkflowCached, MaterializeWorkflow
 /// and RunWorkflow are safe to call from many threads at once (the job
-/// service's worker pool does exactly that). ExecuteWorkflow keeps the
-/// legacy single-caller semantics — it drives the shared enforcer/cluster,
-/// whose discrete-event state is not meant for interleaved runs.
+/// service's worker pool does exactly that). RunWorkflow is the one
+/// execution entry point: every run simulates on its own enforcer and
+/// cluster view.
 class IresServer {
  public:
   struct Config {
@@ -101,22 +100,6 @@ class IresServer {
   /// unified entry point behind the REST description routes.
   Status RegisterArtifact(ArtifactKind kind, const std::string& name,
                           const std::string& description);
-
-  /// Deprecated per-kind wrappers; prefer RegisterArtifact.
-  Status RegisterDataset(const std::string& name,
-                         const std::string& description) {
-    return RegisterArtifact(ArtifactKind::kDataset, name, description);
-  }
-  Status RegisterAbstractOperator(const std::string& name,
-                                  const std::string& description) {
-    return RegisterArtifact(ArtifactKind::kAbstractOperator, name,
-                            description);
-  }
-  Status RegisterMaterializedOperator(const std::string& name,
-                                      const std::string& description) {
-    return RegisterArtifact(ArtifactKind::kMaterializedOperator, name,
-                            description);
-  }
 
   /// Imports an externally assembled library (merges, name clashes fail).
   Status ImportLibrary(const OperatorLibrary& library);
@@ -158,14 +141,6 @@ class IresServer {
                                              TraceContext* trace = nullptr);
 
   // ---- Executor layer -----------------------------------------------------
-  /// Plans + executes with monitoring and IResReplan recovery; feeds every
-  /// observed operator run back into the model-refinement library. Legacy
-  /// synchronous entry point over the shared enforcer; single caller at a
-  /// time.
-  Result<RecoveryOutcome> ExecuteWorkflow(
-      const WorkflowGraph& graph,
-      OptimizationPolicy policy = OptimizationPolicy::MinimizeTime());
-
   /// Per-run execution knobs: recovery strategy and budget, in-place retry
   /// policy, and the chaos fault schedule. Carried per job by the job
   /// service, so two concurrent submissions can run under different
@@ -198,29 +173,23 @@ class IresServer {
     ChaosScheduler::Counts chaos_injected;
   };
 
-  /// Thread-safe plan→execute→refine pipeline used by the job service:
-  /// plans through the cache, executes on a private per-run enforcer over a
-  /// private cluster view (the shared registry still tracks engine
-  /// availability), and refines the models on success. Errors are carried
+  /// The execution entry point: plans through the cache, executes with
+  /// monitoring and recovery under `exec` on a private per-run enforcer
+  /// over a private cluster view (the shared registry still tracks engine
+  /// availability), and feeds every observed operator run back into the
+  /// model-refinement library on success. Thread-safe. Errors are carried
   /// in `recovery.status` so planning/execution accounting survives
-  /// failures.
-  WorkflowRunResult RunWorkflow(
-      const WorkflowGraph& graph,
-      OptimizationPolicy policy = OptimizationPolicy::MinimizeTime(),
-      TraceContext* trace = nullptr);
+  /// failures; `trace` may be null.
   WorkflowRunResult RunWorkflow(const WorkflowGraph& graph,
                                 OptimizationPolicy policy,
                                 TraceContext* trace,
                                 const ExecutionOptions& exec);
 
-  /// Executes `planned` (obtained from PlanWorkflowCached) without
-  /// re-planning the first attempt. Thread-safe; see RunWorkflow. When
-  /// `trace` is non-null, records the "job.execute" wall span, per-step
+  /// The execution half of RunWorkflow: runs `planned` (obtained from
+  /// PlanWorkflowCached) without re-planning the first attempt, so the job
+  /// service can journal the plan before execution starts. When `trace` is
+  /// non-null, records the "job.execute" wall span, per-step
   /// simulated-time spans and the "model.refine" span.
-  WorkflowRunResult ExecutePlanned(const WorkflowGraph& graph,
-                                   OptimizationPolicy policy,
-                                   const PlannedWorkflow& planned,
-                                   TraceContext* trace = nullptr);
   WorkflowRunResult ExecutePlanned(const WorkflowGraph& graph,
                                    OptimizationPolicy policy,
                                    const PlannedWorkflow& planned,
@@ -236,8 +205,6 @@ class IresServer {
   /// share it with any ParetoPlanner / BuildMaterializationReport built
   /// over this server's library and engines.
   PlannerContext& planner_context() { return *planner_context_; }
-  Enforcer& enforcer() { return *enforcer_; }
-  ExecutionMonitor& monitor() { return *monitor_; }
   NsgaResourceProvisioner& provisioner() { return *provisioner_; }
   PlanCache& plan_cache() { return *plan_cache_; }
   const Config& config() const { return config_; }
@@ -316,8 +283,6 @@ class IresServer {
   /// Declared before the planners that resolve through it.
   std::unique_ptr<PlannerContext> planner_context_;
   std::unique_ptr<DpPlanner> planner_;
-  std::unique_ptr<Enforcer> enforcer_;
-  std::unique_ptr<ExecutionMonitor> monitor_;
   std::unique_ptr<NsgaResourceProvisioner> provisioner_;
   ModelLibrary models_;
   std::unique_ptr<ModelBasedCostEstimator> model_estimator_;

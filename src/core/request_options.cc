@@ -1,19 +1,10 @@
 #include "core/request_options.h"
 
-#include <cstdlib>
-
 #include "common/strings.h"
 
 namespace ires {
 
 namespace {
-
-bool ParseDoubleText(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size();
-}
 
 Status BadField(const std::string& where, const std::string& what) {
   return Status::InvalidArgument("options." + where + " " + what);
@@ -52,18 +43,6 @@ Status RejectUnknownKeys(const JsonValue& section, const std::string& where,
   return Status::OK();
 }
 
-Status ApplyStrategy(const std::string& value, const std::string& where,
-                     IresServer::ExecutionOptions* exec) {
-  if (value == "ires") {
-    exec->strategy = ReplanStrategy::kIresReplan;
-  } else if (value == "trivial") {
-    exec->strategy = ReplanStrategy::kTrivialReplan;
-  } else {
-    return Status::InvalidArgument(where + " must be ires or trivial");
-  }
-  return Status::OK();
-}
-
 Status ParseOptionsBody(const JsonValue& options, ParsedExecution* out) {
   if (!options.is_object()) {
     return Status::InvalidArgument("options must be a JSON object");
@@ -90,9 +69,13 @@ Status ParseOptionsBody(const JsonValue& options, ParsedExecution* out) {
       if (!strategy->is_string()) {
         return BadField("execution.strategy", "must be a string");
       }
-      IRES_RETURN_IF_ERROR(ApplyStrategy(strategy->string_value(),
-                                         "options.execution.strategy",
-                                         &out->exec));
+      if (strategy->string_value() == "ires") {
+        out->exec.strategy = ReplanStrategy::kIresReplan;
+      } else if (strategy->string_value() == "trivial") {
+        out->exec.strategy = ReplanStrategy::kTrivialReplan;
+      } else {
+        return BadField("execution.strategy", "must be ires or trivial");
+      }
     }
     IRES_RETURN_IF_ERROR(ReadNumber(*execution, "execution", "maxReplans", 0,
                                     1000, &present, &number));
@@ -146,15 +129,6 @@ Status ParseOptionsBody(const JsonValue& options, ParsedExecution* out) {
 Status ParseExecutionOptions(const std::string& query,
                              const JsonValue* options, ParsedExecution* out) {
   *out = ParsedExecution();
-  bool used_legacy = false;
-  auto deprecated = [&](const std::string& key, const std::string& new_path) {
-    used_legacy = true;
-    out->warnings.push_back("query parameter '" + key +
-                            "' is deprecated and will be removed next "
-                            "release; set options." +
-                            new_path + " in the request body instead");
-  };
-
   for (const std::string& pair :
        query.empty() ? std::vector<std::string>{} : SplitAndTrim(query, '&')) {
     const size_t eq = pair.find('=');
@@ -163,7 +137,6 @@ Status ParseExecutionOptions(const std::string& query,
     }
     const std::string key = pair.substr(0, eq);
     const std::string value = pair.substr(eq + 1);
-    double number = 0.0;
     if (key == "mode") {
       if (value == "async") {
         out->async = true;
@@ -171,8 +144,6 @@ Status ParseExecutionOptions(const std::string& query,
         return Status::InvalidArgument("mode must be sync or async");
       }
     } else if (key == "tenant") {
-      // Routing identity like mode, not a tuning knob: stays a query
-      // parameter for good.
       if (value.empty()) {
         return Status::InvalidArgument("tenant must be non-empty");
       }
@@ -182,83 +153,12 @@ Status ParseExecutionOptions(const std::string& query,
         return Status::InvalidArgument("idempotencyKey must be non-empty");
       }
       out->idempotency_key = value;
-    } else if (key == "strategy") {
-      deprecated(key, "execution.strategy");
-      IRES_RETURN_IF_ERROR(ApplyStrategy(value, "strategy", &out->exec));
-    } else if (key == "maxReplans") {
-      deprecated(key, "execution.maxReplans");
-      if (!ParseDoubleText(value, &number) || number < 0 || number > 1000) {
-        return Status::InvalidArgument("maxReplans must be in [0, 1000]");
-      }
-      out->exec.max_replans = static_cast<int>(number);
-    } else if (key == "retryAttempts") {
-      deprecated(key, "retry.attempts");
-      if (!ParseDoubleText(value, &number) || number < 1 || number > 100) {
-        return Status::InvalidArgument("retryAttempts must be in [1, 100]");
-      }
-      out->exec.retry.max_attempts = static_cast<int>(number);
-    } else if (key == "retryBackoffSeconds") {
-      deprecated(key, "retry.backoffSeconds");
-      if (!ParseDoubleText(value, &number) || number < 0) {
-        return Status::InvalidArgument("retryBackoffSeconds must be >= 0");
-      }
-      out->exec.retry.base_backoff_seconds = number;
-    } else if (key == "stragglerMultiplier") {
-      deprecated(key, "retry.stragglerMultiplier");
-      if (!ParseDoubleText(value, &number) || number < 0) {
-        return Status::InvalidArgument("stragglerMultiplier must be >= 0");
-      }
-      out->exec.retry.straggler_multiplier = number;
-    } else if (key == "chaosSeed") {
-      deprecated(key, "chaos.seed");
-      if (!ParseDoubleText(value, &number) || number < 1) {
-        return Status::InvalidArgument("chaosSeed must be a positive integer");
-      }
-      out->exec.chaos.seed = static_cast<uint64_t>(number);
-    } else if (key == "chaosTransient" || key == "chaosTimeout" ||
-               key == "chaosCrash") {
-      deprecated(key, key == "chaosTransient"
-                          ? "chaos.transient"
-                          : key == "chaosTimeout" ? "chaos.timeout"
-                                                  : "chaos.crash");
-      if (!ParseDoubleText(value, &number) || number < 0 || number > 1) {
-        return Status::InvalidArgument(key + " must be in [0, 1]");
-      }
-      if (key == "chaosTransient") {
-        out->exec.chaos.transient_probability = number;
-      } else if (key == "chaosTimeout") {
-        out->exec.chaos.timeout_probability = number;
-      } else {
-        out->exec.chaos.engine_crash_probability = number;
-      }
-    } else if (key == "chaosCrashEngine") {
-      deprecated(key, "chaos.crashEngine");
-      out->exec.chaos.crash_engine = value;
     } else {
       return Status::InvalidArgument("unsupported execute query key: " + key);
     }
   }
-
-  if (options != nullptr) {
-    if (used_legacy) {
-      return Status::InvalidArgument(
-          "execution options were supplied both as query parameters and in "
-          "the request body; move the query parameters into the body");
-    }
-    IRES_RETURN_IF_ERROR(ParseOptionsBody(*options, out));
-  }
+  if (options != nullptr) IRES_RETURN_IF_ERROR(ParseOptionsBody(*options, out));
   return Status::OK();
-}
-
-std::string WarningsFragment(const std::vector<std::string>& warnings) {
-  if (warnings.empty()) return "";
-  std::string out = ",\"warnings\":[";
-  for (size_t i = 0; i < warnings.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + JsonEscape(warnings[i]) + "\"";
-  }
-  out += "]";
-  return out;
 }
 
 }  // namespace ires

@@ -191,12 +191,6 @@ RestApi::RestApi(IresServer* server)
       plane_(owned_plane_.get()),
       sql_(std::make_unique<SqlService>(server)) {}
 
-RestApi::RestApi(IresServer* server, JobService* jobs)
-    : server_(server),
-      owned_plane_(std::make_unique<ControlPlane>(server, jobs)),
-      plane_(owned_plane_.get()),
-      sql_(std::make_unique<SqlService>(server)) {}
-
 RestApi::RestApi(IresServer* server, ControlPlane* plane)
     : server_(server),
       plane_(plane),
@@ -614,7 +608,6 @@ ApiResponse RestApi::HandleWorkflows(const std::string& method,
       ParsedExecution parsed;
       const Status opt_status = ParseExecutionOptions(query, options, &parsed);
       if (!opt_status.ok()) return FromStatus(opt_status);
-      const std::string warnings = WarningsFragment(parsed.warnings);
       if (parsed.async) {
         ControlPlane::SubmitRequest submit;
         submit.workflow_name = parts[2];
@@ -623,8 +616,7 @@ ApiResponse RestApi::HandleWorkflows(const std::string& method,
         submit.idempotency_key = parsed.idempotency_key;
         auto job_id = plane_->Submit(graph, submit);
         if (!job_id.ok()) return FromStatus(job_id.status());
-        return {202, "{\"jobId\":\"" + JsonEscape(job_id.value()) + "\"" +
-                         warnings + "}"};
+        return {202, "{\"jobId\":\"" + JsonEscape(job_id.value()) + "\"}"};
       }
       IresServer::WorkflowRunResult result = server_->RunWorkflow(
           graph, OptimizationPolicy::MinimizeTime(), nullptr, parsed.exec);
@@ -634,12 +626,12 @@ ApiResponse RestApi::HandleWorkflows(const std::string& method,
       char buf[256];
       std::snprintf(buf, sizeof(buf),
                     "{\"executionSeconds\":%.3f,\"planningMs\":%.3f,"
-                    "\"replans\":%d,\"stepRetries\":%d,\"planCacheHit\":%s",
+                    "\"replans\":%d,\"stepRetries\":%d,\"planCacheHit\":%s}",
                     result.recovery.total_execution_seconds,
                     result.recovery.total_planning_ms,
                     result.recovery.replans, result.recovery.step_retries,
                     result.plan_cache_hit ? "true" : "false");
-      return {200, std::string(buf) + warnings + "}"};
+      return {200, buf};
     }
   }
   return NotFoundError("unknown workflows route");
@@ -674,7 +666,6 @@ ApiResponse RestApi::HandleSql(const std::string& method,
   ParsedExecution parsed;
   const Status opt_status = ParseExecutionOptions(query, options, &parsed);
   if (!opt_status.ok()) return FromStatus(opt_status);
-  const std::string warnings = WarningsFragment(parsed.warnings);
 
   // Parse + MuSQLE optimize + lower. Front-end failures carry SQxxx
   // diagnostics and surface as the structured 422 envelope, mirroring the
@@ -712,7 +703,7 @@ ApiResponse RestApi::HandleSql(const std::string& method,
     auto job_id = plane_->Submit(pq.graph, submit);
     if (!job_id.ok()) return FromStatus(job_id.status());
     return {202, "{\"jobId\":\"" + JsonEscape(job_id.value()) + "\"," +
-                     sql_fields + warnings + "}"};
+                     sql_fields + "}"};
   }
 
   IresServer::WorkflowRunResult result = server_->RunWorkflow(
@@ -728,8 +719,7 @@ ApiResponse RestApi::HandleSql(const std::string& method,
                 result.recovery.total_planning_ms, result.recovery.replans,
                 result.recovery.step_retries,
                 result.plan_cache_hit ? "true" : "false");
-  return {200,
-          "{" + std::string(sql_fields) + run_fields + warnings + "}"};
+  return {200, "{" + std::string(sql_fields) + run_fields + "}"};
 }
 
 ApiResponse RestApi::HandleJobs(const std::string& method,

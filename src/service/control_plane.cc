@@ -46,41 +46,13 @@ const char* ControlPlane::ReplicaStateName(ReplicaState state) {
 ControlPlane::ControlPlane(IresServer* server)
     : ControlPlane(server, Options()) {}
 
-ControlPlane::ControlPlane(IresServer* server, JobService* external)
-    : ControlPlane(server, external, Options()) {}
-
 ControlPlane::ControlPlane(IresServer* server, Options options)
-    : server_(server),
-      options_(options),
-      external_mode_(false),
-      journal_(&server->journal()) {
+    : server_(server), options_(options), journal_(&server->journal()) {
   const int count = std::max(1, options_.replicas);
   for (int i = 0; i < count; ++i) {
-    owned_.push_back(
-        std::make_unique<JobService>(server, options_.replica_options));
-    services_.push_back(owned_.back().get());
+    services_.push_back(std::make_unique<JobService>(
+        server, options_.replica_options, journal_));
   }
-  InitCommon();
-}
-
-ControlPlane::ControlPlane(IresServer* server, JobService* external,
-                           Options options)
-    : server_(server),
-      options_(options),
-      external_mode_(true),
-      journal_(&server->journal()) {
-  services_.push_back(external);
-  InitCommon();
-}
-
-ControlPlane::~ControlPlane() {
-  // Join every owned replica's job threads before any member (the probe
-  // target, the journal, mu_) goes away. External services are the
-  // caller's to drain.
-  for (std::unique_ptr<JobService>& service : owned_) service->Shutdown();
-}
-
-void ControlPlane::InitCommon() {
   if (options_.chaos.enabled()) {
     chaos_ = std::make_unique<ControlPlaneChaos>(options_.chaos);
   }
@@ -95,16 +67,12 @@ void ControlPlane::InitCommon() {
                                         "Replicas currently heartbeating.");
   MutexLock lock(mu_);
   replicas_.resize(services_.size());
-  for (size_t i = 0; i < services_.size(); ++i) {
-    replicas_[i].service = services_[i];
-  }
   BuildRingLocked();
   replicas_up_gauge_->Set(static_cast<double>(services_.size()));
   // Chaos kills fire from the replicas' own job threads at phase
   // boundaries — probe-synchronous, so a "mid-run" kill lands exactly
-  // after a step checkpoint, never at a torn arbitrary instant. Owned
-  // replicas only: an external service may outlive this plane.
-  if (chaos_ != nullptr && !external_mode_) {
+  // after a step checkpoint, never at a torn arbitrary instant.
+  if (chaos_ != nullptr) {
     for (size_t i = 0; i < services_.size(); ++i) {
       const int index = static_cast<int>(i);
       services_[i]->set_phase_probe(
@@ -114,6 +82,12 @@ void ControlPlane::InitCommon() {
           });
     }
   }
+}
+
+ControlPlane::~ControlPlane() {
+  // Join every replica's job threads before any member (the probe target,
+  // the journal, mu_) goes away.
+  for (std::unique_ptr<JobService>& service : services_) service->Shutdown();
 }
 
 void ControlPlane::BuildRingLocked() {
@@ -137,7 +111,7 @@ int ControlPlane::RouteLiveLocked(uint64_t hash) const {
     if (it == ring_.end()) it = ring_.begin();
     const int replica = it->second;
     if (replicas_[replica].state == ReplicaState::kUp &&
-        !replicas_[replica].service->crashed()) {
+        !services_[replica]->crashed()) {
       return replica;
     }
     ++it;
@@ -156,8 +130,8 @@ int ControlPlane::RouteOf(uint64_t fingerprint) const {
 
 int ControlPlane::LiveCountLocked() const {
   int live = 0;
-  for (const Replica& replica : replicas_) {
-    if (replica.state == ReplicaState::kUp && !replica.service->crashed()) {
+  for (size_t i = 0; i < replicas_.size(); ++i) {
+    if (replicas_[i].state == ReplicaState::kUp && !services_[i]->crashed()) {
       ++live;
     }
   }
@@ -205,7 +179,7 @@ Result<std::string> ControlPlane::Submit(const WorkflowGraph& graph,
   if (options_.shed_bronze_at > 0.0 || options_.shed_silver_at > 0.0) {
     size_t queued = 0;
     size_t capacity = 0;
-    for (JobService* service : services_) {
+    for (const std::unique_ptr<JobService>& service : services_) {
       queued += service->stats().queue_depth;
       capacity += service->options().queue_capacity;
     }
@@ -237,20 +211,17 @@ Result<std::string> ControlPlane::Submit(const WorkflowGraph& graph,
   meta.weight = tenant_config.weight;
   meta.idempotency_key = request.idempotency_key;
   meta.replica = target;
-  meta.journal = &journal_;
-  if (!external_mode_) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "job-%06llu",
-                  static_cast<unsigned long long>(next_job_number_++));
-    meta.id_override = buf;
-  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "job-%06llu",
+                static_cast<unsigned long long>(next_job_number_++));
+  meta.id = buf;
   Result<std::string> submitted =
       services_[target]->Submit(graph, request.workflow_name, request.policy,
                                 request.exec, request.slo_class, meta);
   if (!submitted.ok()) {
     // Don't burn the minted id on a replica-level reject: callers observe
     // densely numbered ids (reject-then-accept still yields job-000001).
-    if (!external_mode_) --next_job_number_;
+    --next_job_number_;
     return submitted.status();
   }
   const std::string& id = submitted.value();
@@ -277,22 +248,15 @@ Result<JobRecord> ControlPlane::Get(const std::string& id) const {
     auto it = assignment_.find(id);
     if (it != assignment_.end()) target = it->second;
   }
-  if (target >= 0) {
-    Result<JobRecord> record = services_[target]->Get(id);
-    if (record.ok()) return record;
-  }
-  for (JobService* service : services_) {
-    Result<JobRecord> record = service->Get(id);
-    if (record.ok()) return record;
-  }
-  return Status::NotFound("job: " + id);
+  if (target < 0) return Status::NotFound("job: " + id);
+  return services_[target]->Get(id);
 }
 
 std::vector<JobRecord> ControlPlane::List() const {
   // A failed-over job has a record on every replica it visited; keep the
   // highest incarnation (the one that owned — or still owns — the job).
   std::map<std::string, JobRecord> by_id;
-  for (JobService* service : services_) {
+  for (const std::unique_ptr<JobService>& service : services_) {
     for (JobRecord& record : service->List()) {
       auto it = by_id.find(record.id);
       if (it == by_id.end() || record.incarnation > it->second.incarnation) {
@@ -313,15 +277,8 @@ Status ControlPlane::Cancel(const std::string& id) {
     auto it = assignment_.find(id);
     if (it != assignment_.end()) target = it->second;
   }
-  if (target >= 0) {
-    const Status status = services_[target]->Cancel(id);
-    if (status.code() != StatusCode::kNotFound) return status;
-  }
-  for (JobService* service : services_) {
-    const Status status = service->Cancel(id);
-    if (status.code() != StatusCode::kNotFound) return status;
-  }
-  return Status::NotFound("job: " + id);
+  if (target < 0) return Status::NotFound("job: " + id);
+  return services_[target]->Cancel(id);
 }
 
 bool ControlPlane::ResubmitLocked(const JobJournal::OpenJob& open,
@@ -338,10 +295,9 @@ bool ControlPlane::ResubmitLocked(const JobJournal::OpenJob& open,
   meta.qos_class = spec.qos_class;
   meta.weight = spec.weight;
   meta.idempotency_key = open.idempotency_key;
-  meta.id_override = open.job;
+  meta.id = open.job;
   meta.incarnation = incarnation;
   meta.replica = target;
-  meta.journal = &journal_;
   meta.recovered = true;
   IresServer::ExecutionOptions exec = spec.exec;
   // The journaled step outputs seed the planner's materialized-
@@ -365,7 +321,7 @@ void ControlPlane::MarkDownAndFailoverLocked(int index) {
   Replica& replica = replicas_[index];
   if (replica.state == ReplicaState::kDown) return;
   replica.state = ReplicaState::kDown;
-  replica.service->SimulateCrash();
+  services_[index]->SimulateCrash();
   replicas_up_gauge_->Set(static_cast<double>(LiveCountLocked()));
   EmitReplicaState(index, "down");
   // Snapshot-then-reassign: open jobs (with their materialized step
@@ -386,7 +342,7 @@ void ControlPlane::KillReplica(int replica) {
 void ControlPlane::RestartReplica(int index) {
   MutexLock lock(mu_);
   Replica& replica = replicas_[index];
-  replica.service->ClearCrash();
+  services_[index]->ClearCrash();
   replica.partitioned = false;
   replica.state = ReplicaState::kUp;
   replica.last_heartbeat = -1.0;  // re-bootstraps on the next Tick
@@ -439,7 +395,7 @@ void ControlPlane::Tick(double now_seconds) {
     if (replica.last_heartbeat < 0.0) replica.last_heartbeat = now_seconds;
     const bool heartbeating = replica.state != ReplicaState::kDown &&
                               !replica.partitioned &&
-                              !replica.service->crashed();
+                              !services_[i]->crashed();
     if (heartbeating) replica.last_heartbeat = now_seconds;
     if (replica.state == ReplicaState::kDown) continue;
     const double age = now_seconds - replica.last_heartbeat;
@@ -478,15 +434,16 @@ ControlPlane::Health ControlPlane::health() const {
     entry.id = static_cast<int>(i);
     entry.state = replica.state;
     entry.partitioned = replica.partitioned;
-    const JobService::Stats stats = replica.service->stats();
+    const JobService& service = *services_[i];
+    const JobService::Stats stats = service.stats();
     entry.queue_depth = stats.queue_depth;
     entry.running = stats.running;
-    entry.backlog_seconds = replica.service->BacklogSeconds();
+    entry.backlog_seconds = service.BacklogSeconds();
     entry.journal_lag = journal_.ReplicaLag(static_cast<int>(i));
     health.queue_depth += entry.queue_depth;
     health.running += entry.running;
-    health.queue_capacity += replica.service->options().queue_capacity;
-    health.workers += replica.service->options().workers;
+    health.queue_capacity += service.options().queue_capacity;
+    health.workers += service.options().workers;
     if (entry.state != ReplicaState::kUp) health.degraded = true;
     health.replicas.push_back(entry);
   }
@@ -500,7 +457,7 @@ JobService::Stats ControlPlane::AggregateStats() const {
   stats.queue_depth = 0;
   stats.running = 0;
   stats.workers = 0;
-  for (JobService* service : services_) {
+  for (const std::unique_ptr<JobService>& service : services_) {
     const JobService::Stats s = service->stats();
     stats.queue_depth += s.queue_depth;
     stats.running += s.running;
@@ -512,11 +469,11 @@ JobService::Stats ControlPlane::AggregateStats() const {
 double ControlPlane::RetryAfterSeconds() const {
   MutexLock lock(mu_);
   double best = -1.0;
-  for (const Replica& replica : replicas_) {
-    if (replica.state != ReplicaState::kUp || replica.service->crashed()) {
+  for (size_t i = 0; i < replicas_.size(); ++i) {
+    if (replicas_[i].state != ReplicaState::kUp || services_[i]->crashed()) {
       continue;
     }
-    const double backlog = replica.service->BacklogSeconds();
+    const double backlog = services_[i]->BacklogSeconds();
     if (best < 0.0 || backlog < best) best = backlog;
   }
   if (best < 0.0) best = options_.down_after_seconds;  // nothing live
@@ -530,7 +487,7 @@ bool ControlPlane::WaitForIdle(double timeout_seconds) const {
           std::chrono::duration<double>(timeout_seconds));
   while (true) {
     bool all_idle = true;
-    for (JobService* service : services_) {
+    for (const std::unique_ptr<JobService>& service : services_) {
       if (!service->WaitForIdle(0.05)) all_idle = false;
     }
     // A failover can land new work on an already-checked replica, so only

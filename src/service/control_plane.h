@@ -18,7 +18,9 @@ namespace ires {
 
 /// The sharded control plane: N in-process JobService replicas behind
 /// consistent-hash routing of workflow fingerprints, a shared write-ahead
-/// job journal, and per-tenant weighted-fair admission.
+/// job journal, and per-tenant weighted-fair admission. It is the only way
+/// a job enters the serving layer — JobService::Submit is private to it —
+/// so journaling and tenant admission hold for every job.
 ///
 /// Resilience contract (the reason this layer exists):
 ///
@@ -57,10 +59,10 @@ class ControlPlane {
   };
 
   struct Options {
-    /// Replica shards. 1 reproduces the single-service behavior (plus
-    /// journaling); kills then have no failover target.
+    /// Replica shards. 1 is the smallest deployment; kills then have no
+    /// failover target.
     int replicas = 1;
-    /// Options applied to every owned replica.
+    /// Options applied to every replica.
     JobService::Options replica_options;
     /// Virtual nodes per replica on the hash ring: more gives smoother
     /// balance at slightly larger routing tables.
@@ -79,15 +81,9 @@ class ControlPlane {
     ControlPlaneChaosConfig chaos;
   };
 
-  /// Owned mode: constructs `options.replicas` JobService shards.
+  /// Constructs `options.replicas` JobService shards.
   explicit ControlPlane(IresServer* server);
   ControlPlane(IresServer* server, Options options);
-  /// External mode: wraps one caller-owned JobService as the single
-  /// replica (the legacy RestApi(server, jobs) arrangement). The wrapped
-  /// service keeps working for direct submissions; plane submissions add
-  /// journaling and tenant admission on top.
-  ControlPlane(IresServer* server, JobService* external);
-  ControlPlane(IresServer* server, JobService* external, Options options);
 
   ~ControlPlane();
 
@@ -114,8 +110,8 @@ class ControlPlane {
   Result<std::string> Submit(const WorkflowGraph& graph,
                              const SubmitRequest& request) EXCLUDES(mu_);
 
-  /// Reads route via the plane's assignment table and fall back to
-  /// scanning every replica (covers external-mode direct submissions).
+  /// Reads route via the plane's assignment table to the replica that
+  /// owns (or last owned) the job.
   Result<JobRecord> Get(const std::string& id) const EXCLUDES(mu_);
   /// Union of all replicas' records, deduped by job id keeping the
   /// highest incarnation (a failed-over job leaves a CANCELLED tombstone
@@ -187,7 +183,9 @@ class ControlPlane {
   /// The replica a fingerprint routes to while all replicas are up
   /// (test helper; live routing skips down replicas).
   int RouteOf(uint64_t fingerprint) const EXCLUDES(mu_);
-  JobService* replica(int index) { return services_[index]; }
+  /// Replica internals (shutdown, phase probes, stats) for tests and
+  /// benches; submissions still go through Submit.
+  JobService* replica(int index) { return services_[index].get(); }
   uint64_t failovers() const {
     return failovers_.load(std::memory_order_relaxed);
   }
@@ -197,7 +195,6 @@ class ControlPlane {
 
  private:
   struct Replica {
-    JobService* service = nullptr;  // == owned_[i].get() in owned mode
     ReplicaState state = ReplicaState::kUp;
     bool partitioned = false;
     /// Simulated-clock heartbeat bookkeeping; <0 means "no tick seen yet"
@@ -217,7 +214,6 @@ class ControlPlane {
     double weight = 1.0;
   };
 
-  void InitCommon();
   void BuildRingLocked() REQUIRES(mu_);
   /// First live replica at or clockwise of `hash`; -1 when none is live.
   int RouteLiveLocked(uint64_t hash) const REQUIRES(mu_);
@@ -235,15 +231,12 @@ class ControlPlane {
 
   IresServer* server_;
   const Options options_;
-  /// True in the wrap-a-caller-owned-service mode: the replica mints job
-  /// ids itself (its counter stays collision-free against direct
-  /// submissions); owned mode mints globally unique ids at the plane.
-  const bool external_mode_;
   JobJournal journal_;
   std::unique_ptr<ControlPlaneChaos> chaos_;  // null when disabled
 
-  std::vector<std::unique_ptr<JobService>> owned_;
-  std::vector<JobService*> services_;
+  /// The replicas, fixed at construction (so readable without mu_); their
+  /// health state lives in replicas_ under the same index.
+  std::vector<std::unique_ptr<JobService>> services_;
 
   mutable Mutex mu_{LockRank::kControlPlane, "control.plane"};
   std::vector<Replica> replicas_ GUARDED_BY(mu_);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "service/job_journal.h"
 
@@ -14,6 +13,18 @@ double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
+}
+
+/// The write-ahead record of `record`'s incarnation entering `phase`.
+JobJournalRecord JournalRecordFor(const JobRecord& record,
+                                  JournalPhase phase) {
+  JobJournalRecord rec;
+  rec.job = record.id;
+  rec.incarnation = record.incarnation;
+  rec.phase = phase;
+  rec.replica = record.replica;
+  rec.tenant = record.tenant;
+  return rec;
 }
 
 }  // namespace
@@ -35,10 +46,9 @@ bool IsTerminal(JobState state) {
          state == JobState::kCancelled;
 }
 
-JobService::JobService(IresServer* server) : JobService(server, Options()) {}
-
-JobService::JobService(IresServer* server, Options options)
-    : server_(server), options_(options) {
+JobService::JobService(IresServer* server, Options options,
+                       JobJournal& journal)
+    : server_(server), options_(options), journal_(journal) {
   MetricsRegistry& metrics = server_->metrics();
   const std::string help = "Terminal job outcomes plus admission events.";
   submitted_total_ =
@@ -68,13 +78,6 @@ JobService::JobService(IresServer* server, Options options)
 }
 
 JobService::~JobService() { Shutdown(); }
-
-Result<std::string> JobService::Submit(
-    const WorkflowGraph& graph, const std::string& workflow_name,
-    OptimizationPolicy policy, const IresServer::ExecutionOptions& exec,
-    const std::string& slo_class) {
-  return Submit(graph, workflow_name, policy, exec, slo_class, SubmitMeta());
-}
 
 Result<std::string> JobService::Submit(
     const WorkflowGraph& graph, const std::string& workflow_name,
@@ -156,13 +159,7 @@ Result<std::string> JobService::Submit(
             std::to_string(options_.queue_capacity) + " queued jobs)");
       }
     }
-    std::string id = meta.id_override;
-    if (id.empty()) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "job-%06llu",
-                    static_cast<unsigned long long>(next_job_number_++));
-      id = buf;
-    }
+    const std::string& id = meta.id;
     // A failover resubmission can route a job id back to a replica that
     // still holds the crashed incarnation's record. Tombstone the old
     // record first so its queue entry is inert and the accounting stays
@@ -192,8 +189,6 @@ Result<std::string> JobService::Submit(
     job->record.trace = std::make_shared<TraceContext>(job->record.id);
     job->qos_class = meta.qos_class;
     job->weight = meta.weight > 0.0 ? meta.weight : 1.0;
-    job->journal = meta.journal;
-    job->incarnation = meta.incarnation;
     // Weighted-fair virtual finish time: a tenant's backlog spaces out at
     // 1/weight virtual seconds per job, so under contention dispatch
     // interleaves tenants proportionally to weight instead of FIFO.
@@ -207,9 +202,9 @@ Result<std::string> JobService::Submit(
     ++queued_;
     queued_gauge_->Set(static_cast<double>(queued_));
     submitted_total_->Increment();
-    if (job->journal != nullptr && !meta.recovered) {
-      job->journal->Open(job->record.id, meta.replica, meta.tenant,
-                         meta.idempotency_key, workflow_name, slo_class);
+    if (!meta.recovered) {
+      journal_.Open(job->record.id, meta.replica, meta.tenant,
+                    meta.idempotency_key, workflow_name, slo_class);
     }
     JournalWriter(&server_->journal(), job->record.id)
         .Emit(EventKind::kAdmissionAccept, -1, "", slo_class,
@@ -294,17 +289,11 @@ void JobService::FinalizeLocked(Job* job) {
   // Write-ahead terminal record. Fenced (a no-op) when the control plane
   // already reassigned this job to a newer incarnation — that is exactly
   // what makes the journal's terminal record exactly-once.
-  if (job->journal != nullptr) {
-    JobJournalRecord rec;
-    rec.job = job->record.id;
-    rec.incarnation = job->incarnation;
-    rec.phase = JournalPhase::kTerminal;
-    rec.replica = job->record.replica;
-    rec.tenant = job->record.tenant;
-    rec.state = JobStateName(job->record.state);
-    rec.detail = job->record.error;
-    job->journal->Append(std::move(rec));
-  }
+  JobJournalRecord terminal =
+      JournalRecordFor(job->record, JournalPhase::kTerminal);
+  terminal.state = JobStateName(job->record.state);
+  terminal.detail = job->record.error;
+  journal_.Append(std::move(terminal));
   const double duration =
       job->record.finished_at - job->record.submitted_at;
   // EWMA job duration feeds BacklogSeconds (the Retry-After hint).
@@ -376,15 +365,7 @@ void JobService::ExecuteJob(const std::shared_ptr<Job>& job) {
     ++active_;
     queued_gauge_->Set(static_cast<double>(queued_));
     active_gauge_->Set(static_cast<double>(active_));
-    if (job->journal != nullptr) {
-      JobJournalRecord rec;
-      rec.job = job->record.id;
-      rec.incarnation = job->incarnation;
-      rec.phase = JournalPhase::kPlanning;
-      rec.replica = job->record.replica;
-      rec.tenant = job->record.tenant;
-      job->journal->Append(std::move(rec));
-    }
+    journal_.Append(JournalRecordFor(job->record, JournalPhase::kPlanning));
     policy = job->record.policy;
   }
 
@@ -428,18 +409,12 @@ void JobService::ExecuteJob(const std::shared_ptr<Job>& job) {
       return;
     }
     job->record.state = JobState::kRunning;
-    if (job->journal != nullptr) {
-      JobJournalRecord rec;
-      rec.job = job->record.id;
-      rec.incarnation = job->incarnation;
-      rec.phase = JournalPhase::kRunning;
-      rec.replica = job->record.replica;
-      rec.tenant = job->record.tenant;
-      rec.detail = "steps=" + std::to_string(plan.steps.size()) +
-                   " estimatedSeconds=" +
-                   std::to_string(plan.estimated_seconds);
-      job->journal->Append(std::move(rec));
-    }
+    JobJournalRecord running =
+        JournalRecordFor(job->record, JournalPhase::kRunning);
+    running.detail = "steps=" + std::to_string(plan.steps.size()) +
+                     " estimatedSeconds=" +
+                     std::to_string(plan.estimated_seconds);
+    journal_.Append(std::move(running));
     exec_started_at = NowSeconds();
   }
 
@@ -452,31 +427,20 @@ void JobService::ExecuteJob(const std::shared_ptr<Job>& job) {
   IresServer::ExecutionOptions exec = job->exec;
   {
     const Enforcer::StepObserver caller = exec.step_observer;
-    const std::string job_id = job->record.id;
-    const std::string tenant = job->record.tenant;
-    const int replica = job->record.replica;
-    JobJournal* journal = job->journal;
-    const uint64_t incarnation = job->incarnation;
+    const JobJournalRecord step_template =
+        JournalRecordFor(job->record, JournalPhase::kStepCompleted);
     const std::shared_ptr<Job> jobref = job;
-    exec.step_observer = [this, jobref, caller, job_id, tenant, replica,
-                          journal, incarnation](int step_id,
-                                                const DatasetInstance& out) {
+    exec.step_observer = [this, jobref, caller, step_template](
+                             int step_id, const DatasetInstance& out) {
       if (caller) caller(step_id, out);
       const int done =
           jobref->completed_steps.fetch_add(1, std::memory_order_relaxed) +
           1;
-      if (journal != nullptr) {
-        JobJournalRecord rec;
-        rec.job = job_id;
-        rec.incarnation = incarnation;
-        rec.phase = JournalPhase::kStepCompleted;
-        rec.replica = replica;
-        rec.tenant = tenant;
-        rec.step = step_id;
-        rec.artifact = out;
-        journal->Append(std::move(rec));
-      }
-      if (phase_probe_) phase_probe_(job_id, done, 's');
+      JobJournalRecord rec = step_template;
+      rec.step = step_id;
+      rec.artifact = out;
+      journal_.Append(std::move(rec));
+      if (phase_probe_) phase_probe_(step_template.job, done, 's');
     };
   }
 

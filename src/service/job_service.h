@@ -59,7 +59,7 @@ struct JobRecord {
   std::string slo_class = "dag";
 
   /// Admission tenant and QoS class (0 = gold … 2 = bronze) the job was
-  /// accounted under; "default"/1 for direct submissions.
+  /// accounted under; "default"/1 unless the tenant was configured.
   std::string tenant = "default";
   int qos_class = 1;
   /// Client-supplied dedupe key, empty when none was given.
@@ -109,12 +109,13 @@ struct JobRecord {
 
   /// Span trace for this job, created at submission and shared with the
   /// REST layer (GET /apiv1/jobs/{id}/trace renders it as Chrome
-  /// trace-event JSON). Never null for jobs created through Submit.
+  /// trace-event JSON). Never null.
   std::shared_ptr<TraceContext> trace;
 };
 
-/// The concurrent serving layer: accepts workflow submissions into a
-/// bounded admission queue and drives the plan→execute→refine pipeline on
+/// One replica of the serving layer: accepts workflow submissions from its
+/// ControlPlane — the only caller of Submit — into a bounded admission
+/// queue and drives the plan→execute→refine pipeline on
 /// the server's shared TaskScheduler, holding at most `workers` jobs
 /// in flight at once (the concurrency cap the private worker pool used to
 /// provide — but idle capacity is now shared with every other subsystem).
@@ -150,34 +151,6 @@ class JobService {
     int workers = 0;
   };
 
-  /// Control-plane metadata riding one submission. Default-constructed it
-  /// reproduces the legacy direct-submission behavior exactly (tenant
-  /// "default", silver class, no journal, locally minted id).
-  struct SubmitMeta {
-    std::string tenant = "default";
-    /// QoS class: 0 = gold, 1 = silver, 2 = bronze. Lower dispatches
-    /// first, and a full queue preempts strictly-lower-class QUEUED jobs
-    /// to admit a higher-class newcomer.
-    int qos_class = 1;
-    /// Weighted-fair share within the class: a tenant with weight 2 gets
-    /// twice the dispatch rate of a weight-1 tenant under contention.
-    double weight = 1.0;
-    std::string idempotency_key;
-    /// Control-plane-minted global job id; empty mints a local one.
-    std::string id_override;
-    /// Journal fencing token of this execution incarnation.
-    uint64_t incarnation = 1;
-    /// Replica index this service serves as (control-plane placement).
-    int replica = 0;
-    /// Write-ahead job journal receiving lifecycle records; null disables
-    /// journaling (the legacy path).
-    JobJournal* journal = nullptr;
-    /// Failover resubmission: the job was validated and admitted once
-    /// already, so the lint gate and the queue-capacity bound are skipped
-    /// and execution resumes from exec.resume_materialized.
-    bool recovered = false;
-  };
-
   /// Probe invoked at job phase boundaries with no service lock held:
   /// 'p' just before planning, 'r' just before execution, 's' after each
   /// completed step (completed_steps carries the running count). The
@@ -187,37 +160,15 @@ class JobService {
       std::function<void(const std::string& job_id, int completed_steps,
                          char phase)>;
 
-  explicit JobService(IresServer* server);
-  JobService(IresServer* server, Options options);
+  /// `journal` is the owning plane's write-ahead job journal; every
+  /// lifecycle transition of every job is appended to it.
+  JobService(IresServer* server, Options options, JobJournal& journal);
 
   /// Drains in-flight jobs (queued jobs are cancelled) and joins workers.
   ~JobService();
 
   JobService(const JobService&) = delete;
   JobService& operator=(const JobService&) = delete;
-
-  /// Admits one workflow for asynchronous execution. Returns the job id,
-  /// or ResourceExhausted when the admission queue is full. `exec` carries
-  /// the job's fault-tolerance regime — recovery strategy, replan budget,
-  /// retry policy and chaos schedule — so every submission can run under
-  /// its own failure discipline.
-  /// `slo_class` tags the job's SLO workload class ("dag" or "sql").
-  Result<std::string> Submit(
-      const WorkflowGraph& graph, const std::string& workflow_name,
-      OptimizationPolicy policy = OptimizationPolicy::MinimizeTime(),
-      const IresServer::ExecutionOptions& exec =
-          IresServer::ExecutionOptions(),
-      const std::string& slo_class = "dag") EXCLUDES(mu_);
-
-  /// Control-plane submission: same admission pipeline plus tenant
-  /// accounting, weighted-fair queuing, QoS preemption and write-ahead
-  /// journaling per `meta`.
-  Result<std::string> Submit(const WorkflowGraph& graph,
-                             const std::string& workflow_name,
-                             OptimizationPolicy policy,
-                             const IresServer::ExecutionOptions& exec,
-                             const std::string& slo_class,
-                             const SubmitMeta& meta) EXCLUDES(mu_);
 
   /// Installs the phase probe. Must be called before the first Submit —
   /// the probe pointer is read without synchronization from job threads.
@@ -266,9 +217,50 @@ class JobService {
   void Shutdown() EXCLUDES(mu_);
 
  private:
+  friend class ControlPlane;
+
+  /// Control-plane metadata riding one submission.
+  struct SubmitMeta {
+    std::string tenant = "default";
+    /// QoS class: 0 = gold, 1 = silver, 2 = bronze. Lower dispatches
+    /// first, and a full queue preempts strictly-lower-class QUEUED jobs
+    /// to admit a higher-class newcomer.
+    int qos_class = 1;
+    /// Weighted-fair share within the class: a tenant with weight 2 gets
+    /// twice the dispatch rate of a weight-1 tenant under contention.
+    double weight = 1.0;
+    std::string idempotency_key;
+    /// Control-plane-minted global job id.
+    std::string id;
+    /// Journal fencing token of this execution incarnation.
+    uint64_t incarnation = 1;
+    /// Replica index this service serves as (control-plane placement).
+    int replica = 0;
+    /// Failover resubmission: the job was validated and admitted once
+    /// already, so the lint gate and the queue-capacity bound are skipped
+    /// and execution resumes from exec.resume_materialized.
+    bool recovered = false;
+  };
+
+  /// Admits one workflow for asynchronous execution under `meta`'s id,
+  /// tenant accounting, weighted-fair queuing, QoS preemption and
+  /// write-ahead journaling. Returns the job id, or ResourceExhausted when
+  /// the admission queue is full. `exec` carries the job's fault-tolerance
+  /// regime — recovery strategy, replan budget, retry policy and chaos
+  /// schedule — so every submission can run under its own failure
+  /// discipline. `slo_class` tags the job's SLO workload class ("dag" or
+  /// "sql").
+  Result<std::string> Submit(const WorkflowGraph& graph,
+                             const std::string& workflow_name,
+                             OptimizationPolicy policy,
+                             const IresServer::ExecutionOptions& exec,
+                             const std::string& slo_class,
+                             const SubmitMeta& meta) EXCLUDES(mu_);
+
   /// Per-job mutable state. The analysis cannot express "guarded by the
   /// owning service's mu_" on a nested struct, so the contract is
-  /// documented instead: after Submit publishes a Job, `record`,
+  /// documented instead: after Submit publishes a Job, `record` (whose
+  /// id, tenant, replica and incarnation never change after Submit),
   /// `cancel_requested` and `queue_span` are only touched under mu_
   /// (`graph` and `exec` are immutable after Submit).
   struct Job {
@@ -282,10 +274,6 @@ class JobService {
     int qos_class = 1;
     double weight = 1.0;
     double vfinish = 0.0;
-    // Write-ahead journal handle + fencing token (immutable after Submit;
-    // null journal disables journaling).
-    JobJournal* journal = nullptr;
-    uint64_t incarnation = 1;
     // Completed-step counter fed by the enforcer's step observer (its own
     // thread), read by the phase probe.
     std::atomic<int> completed_steps{0};
@@ -312,6 +300,7 @@ class JobService {
 
   IresServer* server_;
   const Options options_;
+  JobJournal& journal_;
 
   /// kJobService sits below every planner/registry/telemetry rank: job
   /// bookkeeping sections journal events, end trace spans and move gauges
@@ -322,7 +311,6 @@ class JobService {
   mutable std::condition_variable_any idle_;
   std::map<std::string, std::shared_ptr<Job>> jobs_ GUARDED_BY(mu_);
   std::vector<std::string> submission_order_ GUARDED_BY(mu_);
-  uint64_t next_job_number_ GUARDED_BY(mu_) = 1;
   size_t queued_ GUARDED_BY(mu_) = 0;
   size_t active_ GUARDED_BY(mu_) = 0;  // PLANNING or RUNNING
   /// Jobs handed to the scheduler whose RunJob has not returned yet;

@@ -17,7 +17,7 @@
 #include "core/rest_api.h"
 #include "engines/standard_engines.h"
 #include "planner/dp_planner.h"
-#include "service/job_service.h"
+#include "service/control_plane.h"
 #include "workloadgen/pegasus.h"
 
 namespace ires {
@@ -656,30 +656,32 @@ TEST(ValidationApiTest, AdmissionRejectsWith422DiagnosticsAndCounter) {
   EXPECT_NE(metrics.find("WF011", pos), std::string::npos);
 }
 
-TEST(ValidationApiTest, JobServiceSubmitGatesOnTheLinter) {
+TEST(ValidationApiTest, PlaneSubmitGatesOnTheLinter) {
   IresServer server;
   ASSERT_TRUE(server
-                  .RegisterDataset("asapServerLog",
-                                   "Constraints.Engine.FS=HDFS\n"
-                                   "Execution.path=hdfs:///log\n"
-                                   "Optimization.size=5e8\n")
+                  .RegisterArtifact(ArtifactKind::kDataset, "asapServerLog",
+                                    "Constraints.Engine.FS=HDFS\n"
+                                    "Execution.path=hdfs:///log\n"
+                                    "Optimization.size=5e8\n")
                   .ok());
   ASSERT_TRUE(server
-                  .RegisterAbstractOperator(
-                      "Mystery",
+                  .RegisterArtifact(
+                      ArtifactKind::kAbstractOperator, "Mystery",
                       "Constraints.OpSpecification.Algorithm.name=Mystery\n")
                   .ok());
   auto graph = server.ParseWorkflow(
       "asapServerLog,Mystery,0\nMystery,d1,0\nd1,$$target\n");
   ASSERT_TRUE(graph.ok());
-  JobService jobs(&server);
-  auto id = jobs.Submit(graph.value(), "wf");
+  ControlPlane plane(&server);
+  ControlPlane::SubmitRequest request;
+  request.workflow_name = "wf";
+  auto id = plane.Submit(graph.value(), request);
   ASSERT_FALSE(id.ok());
   EXPECT_EQ(id.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(id.status().message().find("WF011"), std::string::npos)
       << id.status().message();
-  // Submit-path rejects are tenant-attributable (direct submissions land
-  // on the "default" tenant).
+  // Submit-path rejects are tenant-attributable (a request naming no
+  // tenant lands on the "default" tenant).
   EXPECT_EQ(server.metrics()
                 .GetCounter("ires_validation_rejects_total",
                             "Workflow submissions rejected by static "

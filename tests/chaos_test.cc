@@ -20,7 +20,7 @@
 #include "engines/standard_engines.h"
 #include "executor/recovering_executor.h"
 #include "planner/dp_planner.h"
-#include "service/job_service.h"
+#include "service/control_plane.h"
 #include "workloadgen/asap_workflows.h"
 
 namespace ires {
@@ -322,22 +322,24 @@ TEST(ChaosSoakTest, ConcurrentChaosJobsStayConsistent) {
   const GeneratedWorkload w = MakeTextAnalyticsWorkflow(20e3);
   ASSERT_TRUE(server.ImportLibrary(w.library).ok());
 
-  JobService::Options options;
-  options.workers = 4;
-  options.queue_capacity = kJobs;
-  JobService jobs(&server, options);
+  ControlPlane::Options options;
+  options.replica_options.workers = 4;
+  options.replica_options.queue_capacity = kJobs;
+  ControlPlane plane(&server, options);
   for (int i = 0; i < kJobs; ++i) {
-    auto id = jobs.Submit(w.graph, "text", OptimizationPolicy::MinimizeTime(),
-                          SoakOptions(9000 + static_cast<uint64_t>(i)));
+    ControlPlane::SubmitRequest request;
+    request.workflow_name = "text";
+    request.exec = SoakOptions(9000 + static_cast<uint64_t>(i));
+    auto id = plane.Submit(w.graph, request);
     ASSERT_TRUE(id.ok()) << id.status();
   }
-  ASSERT_TRUE(jobs.WaitForIdle(300.0));
+  ASSERT_TRUE(plane.WaitForIdle(300.0));
 
   uint64_t step_retries = 0;
   uint64_t replans = 0;
   uint64_t injected = 0;
   std::map<std::string, uint64_t> failures_by_kind;
-  for (const JobRecord& record : jobs.List()) {
+  for (const JobRecord& record : plane.List()) {
     ASSERT_TRUE(IsTerminal(record.state)) << record.id;
     ASSERT_NE(record.state, JobState::kCancelled) << record.id;
     if (record.state == JobState::kFailed) {

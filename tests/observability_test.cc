@@ -12,7 +12,7 @@
 
 #include "core/rest_api.h"
 #include "modeling/drift.h"
-#include "service/job_service.h"
+#include "service/control_plane.h"
 #include "telemetry/event_journal.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/slo.h"
@@ -279,14 +279,15 @@ const EventKind kDoomedJobSequence[] = {
     EventKind::kJobFailed,
 };
 
-IresServer::ExecutionOptions DoomedOptions() {
-  IresServer::ExecutionOptions exec;
-  exec.max_replans = 1;
-  exec.retry.max_attempts = 2;
-  exec.retry.base_backoff_seconds = 0.0;
-  exec.chaos.seed = 7;
-  exec.chaos.transient_probability = 1.0;
-  return exec;
+ControlPlane::SubmitRequest DoomedRequest() {
+  ControlPlane::SubmitRequest request;
+  request.workflow_name = "lc";
+  request.exec.max_replans = 1;
+  request.exec.retry.max_attempts = 2;
+  request.exec.retry.base_backoff_seconds = 0.0;
+  request.exec.chaos.seed = 7;
+  request.exec.chaos.transient_probability = 1.0;
+  return request;
 }
 
 void ExpectKinds(const std::vector<JournalEvent>& events) {
@@ -304,20 +305,19 @@ void ExpectKinds(const std::vector<JournalEvent>& events) {
 
 TEST(FlightRecorderE2ETest, FailedJobJournalReconstructsDecisionSequence) {
   IresServer server;
-  JobService::Options options;
-  options.workers = 1;
-  JobService jobs(&server, options);
-  RestApi api(&server, &jobs);
+  ControlPlane::Options options;
+  options.replica_options.workers = 1;
+  ControlPlane plane(&server, options);
+  RestApi api(&server, &plane);
   RegisterLineCount(&api);
   auto graph = server.ParseWorkflow(kGraph);
   ASSERT_TRUE(graph.ok());
 
-  auto id = jobs.Submit(graph.value(), "lc", OptimizationPolicy::MinimizeTime(),
-                        DoomedOptions());
+  auto id = plane.Submit(graph.value(), DoomedRequest());
   ASSERT_TRUE(id.ok()) << id.status();
-  ASSERT_TRUE(jobs.WaitForIdle(30.0));
+  ASSERT_TRUE(plane.WaitForIdle(30.0));
 
-  auto record = jobs.Get(id.value());
+  auto record = plane.Get(id.value());
   ASSERT_TRUE(record.ok());
   ASSERT_EQ(record.value().state, JobState::kFailed) << record.value().error;
   EXPECT_EQ(record.value().slo_class, "dag");
@@ -380,17 +380,16 @@ TEST(FlightRecorderE2ETest, FailedJobJournalReconstructsDecisionSequence) {
 
 TEST(FlightRecorderE2ETest, ProcessScopedBreakerEventsCarryNoJobId) {
   IresServer server;
-  JobService::Options options;
-  options.workers = 1;
-  JobService jobs(&server, options);
-  RestApi api(&server, &jobs);
+  ControlPlane::Options options;
+  options.replica_options.workers = 1;
+  ControlPlane plane(&server, options);
+  RestApi api(&server, &plane);
   RegisterLineCount(&api);
   auto graph = server.ParseWorkflow(kGraph);
   ASSERT_TRUE(graph.ok());
-  auto id = jobs.Submit(graph.value(), "lc", OptimizationPolicy::MinimizeTime(),
-                        DoomedOptions());
+  auto id = plane.Submit(graph.value(), DoomedRequest());
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(jobs.WaitForIdle(30.0));
+  ASSERT_TRUE(plane.WaitForIdle(30.0));
 
   // The registry-level breaker transition (ON -> SUSPENDED) is recorded as
   // a process-scoped breaker_state event, job-attribution-free.

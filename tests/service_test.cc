@@ -1,5 +1,6 @@
 // Concurrency suite for the serving layer: the job service's admission
-// queue, worker pool and lifecycle, the REST jobs surface, the plan cache,
+// queue, worker pool and lifecycle (driven through a one-replica control
+// plane, the only submission path), the REST jobs surface, the plan cache,
 // and — crucially — that N threads hammering the API concurrently lose no
 // model-refinement updates and trip no data races (CI runs this binary
 // under ThreadSanitizer).
@@ -7,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/rest_api.h"
-#include "service/job_service.h"
+#include "service/control_plane.h"
+#include "service/job_journal.h"
 #include "threading/task_scheduler.h"
 #include "telemetry/trace_context.h"
 
@@ -68,6 +71,41 @@ TEST(TaskSchedulerTest, RejectsAfterShutdown) {
 }
 
 // --------------------------------------------------------------- JobService
+//
+// The control plane is the only submission path, so these cases drive a
+// JobService as the single replica of a one-replica plane.
+
+ControlPlane::Options OneReplica(int workers, size_t queue_capacity) {
+  ControlPlane::Options options;
+  options.replica_options.workers = workers;
+  options.replica_options.queue_capacity = queue_capacity;
+  return options;
+}
+
+Result<std::string> SubmitLc(ControlPlane* plane, const WorkflowGraph& graph,
+                             IresServer::ExecutionOptions exec = {},
+                             const std::string& slo_class = "dag") {
+  ControlPlane::SubmitRequest request;
+  request.workflow_name = "lc";
+  request.exec = std::move(exec);
+  request.slo_class = slo_class;
+  return plane->Submit(graph, request);
+}
+
+/// Every job id carries exactly one TERMINAL record in the plane's encoded
+/// journal — the exactly-once accounting every submission now gets.
+void ExpectOneTerminalRecordPerJob(const ControlPlane& plane,
+                                   const std::vector<std::string>& ids) {
+  const JobJournal::DecodeResult decoded =
+      JobJournal::Decode(plane.journal().Encode());
+  EXPECT_EQ(decoded.torn, 0u);
+  std::map<std::string, int> terminals;
+  for (const JobJournalRecord& record : decoded.records) {
+    if (record.phase == JournalPhase::kTerminal) ++terminals[record.job];
+  }
+  EXPECT_EQ(terminals.size(), ids.size());
+  for (const std::string& id : ids) EXPECT_EQ(terminals[id], 1) << id;
+}
 
 TEST(JobServiceTest, SubmitRunsToSuccess) {
   IresServer server;
@@ -76,12 +114,12 @@ TEST(JobServiceTest, SubmitRunsToSuccess) {
   auto graph = server.ParseWorkflow(kGraph);
   ASSERT_TRUE(graph.ok());
 
-  JobService jobs(&server);
-  auto id = jobs.Submit(graph.value(), "lc");
+  ControlPlane plane(&server);
+  auto id = SubmitLc(&plane, graph.value());
   ASSERT_TRUE(id.ok()) << id.status();
-  ASSERT_TRUE(jobs.WaitForIdle(30.0));
+  ASSERT_TRUE(plane.WaitForIdle(30.0));
 
-  auto record = jobs.Get(id.value());
+  auto record = plane.Get(id.value());
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record.value().state, JobState::kSucceeded);
   EXPECT_GT(record.value().outcome.total_execution_seconds, 0.0);
@@ -92,9 +130,9 @@ TEST(JobServiceTest, SubmitRunsToSuccess) {
 
 TEST(JobServiceTest, UnknownJobAndBadCancel) {
   IresServer server;
-  JobService jobs(&server);
-  EXPECT_EQ(jobs.Get("job-999999").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(jobs.Cancel("job-999999").code(), StatusCode::kNotFound);
+  ControlPlane plane(&server);
+  EXPECT_EQ(plane.Get("job-999999").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(plane.Cancel("job-999999").code(), StatusCode::kNotFound);
 }
 
 TEST(JobServiceTest, QueueFullRejectsWithResourceExhausted) {
@@ -104,24 +142,22 @@ TEST(JobServiceTest, QueueFullRejectsWithResourceExhausted) {
   auto graph = server.ParseWorkflow(kGraph);
   ASSERT_TRUE(graph.ok());
 
-  JobService::Options options;
-  options.workers = 1;
-  options.queue_capacity = 2;
-  JobService jobs(&server, options);
+  ControlPlane plane(&server, OneReplica(/*workers=*/1, /*queue=*/2));
 
   // Many rapid submissions against 1 worker + 2 queue slots must bounce at
   // least one (the worker may drain a few in between).
   int rejected = 0;
   for (int i = 0; i < 50; ++i) {
-    auto id = jobs.Submit(graph.value(), "lc");
+    auto id = SubmitLc(&plane, graph.value());
     if (!id.ok()) {
       EXPECT_EQ(id.status().code(), StatusCode::kResourceExhausted);
       ++rejected;
     }
   }
   EXPECT_GT(rejected, 0);
-  EXPECT_TRUE(jobs.WaitForIdle(60.0));
-  EXPECT_EQ(jobs.stats().rejected, static_cast<uint64_t>(rejected));
+  EXPECT_TRUE(plane.WaitForIdle(60.0));
+  EXPECT_EQ(plane.replica(0)->stats().rejected,
+            static_cast<uint64_t>(rejected));
 }
 
 TEST(JobServiceTest, CancelQueuedJob) {
@@ -133,28 +169,26 @@ TEST(JobServiceTest, CancelQueuedJob) {
 
   // One worker, deep queue: the tail submission is still QUEUED when we
   // cancel it.
-  JobService::Options options;
-  options.workers = 1;
-  options.queue_capacity = 64;
-  JobService jobs(&server, options);
+  ControlPlane plane(&server, OneReplica(/*workers=*/1, /*queue=*/64));
   std::vector<std::string> ids;
   for (int i = 0; i < 8; ++i) {
-    auto id = jobs.Submit(graph.value(), "lc");
+    auto id = SubmitLc(&plane, graph.value());
     ASSERT_TRUE(id.ok());
     ids.push_back(id.value());
   }
-  const Status cancel = jobs.Cancel(ids.back());
+  const Status cancel = plane.Cancel(ids.back());
   // Either we caught it queued (OK) or the pool already finished it.
-  auto record = jobs.Get(ids.back());
+  auto record = plane.Get(ids.back());
   ASSERT_TRUE(record.ok());
   if (cancel.ok()) {
     EXPECT_TRUE(record.value().state == JobState::kCancelled ||
                 record.value().state == JobState::kSucceeded);
   }
-  ASSERT_TRUE(jobs.WaitForIdle(60.0));
-  record = jobs.Get(ids.back());
+  ASSERT_TRUE(plane.WaitForIdle(60.0));
+  record = plane.Get(ids.back());
   ASSERT_TRUE(record.ok());
   EXPECT_TRUE(IsTerminal(record.value().state));
+  ExpectOneTerminalRecordPerJob(plane, ids);
 }
 
 TEST(JobServiceTest, CancelledJobsStillCarryQueueTiming) {
@@ -167,19 +201,16 @@ TEST(JobServiceTest, CancelledJobsStillCarryQueueTiming) {
   // One worker, deep queue, many jobs: the tail is still QUEUED when
   // cancelled, and its record must nonetheless carry its queue wait — a
   // cancelled job's latency is part of the serving signal.
-  JobService::Options options;
-  options.workers = 1;
-  options.queue_capacity = 64;
-  JobService jobs(&server, options);
+  ControlPlane plane(&server, OneReplica(/*workers=*/1, /*queue=*/64));
   std::vector<std::string> ids;
   for (int i = 0; i < 12; ++i) {
-    auto id = jobs.Submit(graph.value(), "lc");
+    auto id = SubmitLc(&plane, graph.value());
     ASSERT_TRUE(id.ok());
     ids.push_back(id.value());
   }
-  const Status cancel = jobs.Cancel(ids.back());
-  ASSERT_TRUE(jobs.WaitForIdle(60.0));
-  for (const JobRecord& record : jobs.List()) {
+  const Status cancel = plane.Cancel(ids.back());
+  ASSERT_TRUE(plane.WaitForIdle(60.0));
+  for (const JobRecord& record : plane.List()) {
     ASSERT_TRUE(IsTerminal(record.state));
     EXPECT_GT(record.finished_at, 0.0) << record.id;
     // Every terminal job measured the phases it reached.
@@ -199,7 +230,7 @@ TEST(JobServiceTest, CancelledJobsStillCarryQueueTiming) {
     EXPECT_TRUE(queue_span_closed) << record.id;
   }
   if (cancel.ok()) {
-    auto record = jobs.Get(ids.back());
+    auto record = plane.Get(ids.back());
     ASSERT_TRUE(record.ok());
     if (record.value().state == JobState::kCancelled) {
       // Cancelled while queued: no planning/execution phases, queue wait
@@ -219,18 +250,20 @@ TEST(JobServiceTest, ShutdownCancelsQueuedJobs) {
   auto graph = server.ParseWorkflow(kGraph);
   ASSERT_TRUE(graph.ok());
 
-  JobService::Options options;
-  options.workers = 1;
-  options.queue_capacity = 64;
-  auto jobs = std::make_unique<JobService>(&server, options);
+  ControlPlane plane(&server, OneReplica(/*workers=*/1, /*queue=*/64));
+  std::vector<std::string> ids;
   for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(jobs->Submit(graph.value(), "lc").ok());
+    auto id = SubmitLc(&plane, graph.value());
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
   }
-  jobs->Shutdown();
-  for (const JobRecord& record : jobs->List()) {
+  plane.replica(0)->Shutdown();
+  for (const JobRecord& record : plane.List()) {
     EXPECT_TRUE(IsTerminal(record.state))
         << record.id << " left in " << JobStateName(record.state);
   }
+  // Shutdown's sweep to CANCELLED is journaled like any other terminal.
+  ExpectOneTerminalRecordPerJob(plane, ids);
 }
 
 TEST(JobServiceTest, EngineRecoversAfterFailedJob) {
@@ -245,9 +278,7 @@ TEST(JobServiceTest, EngineRecoversAfterFailedJob) {
   auto graph = server.ParseWorkflow(kGraph);
   ASSERT_TRUE(graph.ok());
 
-  JobService::Options options;
-  options.workers = 1;
-  JobService jobs(&server, options);
+  ControlPlane plane(&server, OneReplica(/*workers=*/1, /*queue=*/64));
 
   // Job 1 runs under a chaos schedule that always crashes Spark; with no
   // replan budget the failure is terminal.
@@ -256,12 +287,11 @@ TEST(JobServiceTest, EngineRecoversAfterFailedJob) {
   chaotic.chaos.seed = 21;
   chaotic.chaos.engine_crash_probability = 1.0;
   chaotic.chaos.crash_engine = "Spark";
-  auto first = jobs.Submit(graph.value(), "lc",
-                           OptimizationPolicy::MinimizeTime(), chaotic);
+  auto first = SubmitLc(&plane, graph.value(), chaotic);
   ASSERT_TRUE(first.ok()) << first.status();
-  ASSERT_TRUE(jobs.WaitForIdle(30.0));
+  ASSERT_TRUE(plane.WaitForIdle(30.0));
 
-  auto record = jobs.Get(first.value());
+  auto record = plane.Get(first.value());
   ASSERT_TRUE(record.ok());
   ASSERT_EQ(record.value().state, JobState::kFailed);
   ASSERT_FALSE(record.value().outcome.failures.empty());
@@ -276,10 +306,10 @@ TEST(JobServiceTest, EngineRecoversAfterFailedJob) {
       server.engines().breaker_config().max_suspension_seconds + 1.0);
 
   // Job 2, no chaos: it must plan onto the recovered Spark and succeed.
-  auto second = jobs.Submit(graph.value(), "lc");
+  auto second = SubmitLc(&plane, graph.value());
   ASSERT_TRUE(second.ok()) << second.status();
-  ASSERT_TRUE(jobs.WaitForIdle(30.0));
-  record = jobs.Get(second.value());
+  ASSERT_TRUE(plane.WaitForIdle(30.0));
+  record = plane.Get(second.value());
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record.value().state, JobState::kSucceeded)
       << record.value().error;
@@ -296,9 +326,7 @@ TEST(JobServiceTest, FailedJobCarriesSloClassAndEventSnapshot) {
   auto graph = server.ParseWorkflow(kGraph);
   ASSERT_TRUE(graph.ok());
 
-  JobService::Options options;
-  options.workers = 1;
-  JobService jobs(&server, options);
+  ControlPlane plane(&server, OneReplica(/*workers=*/1, /*queue=*/64));
 
   // A doomed job (chaos always crashes Spark, no replan budget) must carry
   // its flight-recorder snapshot into the terminal record; a caller-tagged
@@ -308,13 +336,11 @@ TEST(JobServiceTest, FailedJobCarriesSloClassAndEventSnapshot) {
   chaotic.chaos.seed = 33;
   chaotic.chaos.engine_crash_probability = 1.0;
   chaotic.chaos.crash_engine = "Spark";
-  auto failed = jobs.Submit(graph.value(), "lc",
-                            OptimizationPolicy::MinimizeTime(), chaotic,
-                            /*slo_class=*/"sql");
+  auto failed = SubmitLc(&plane, graph.value(), chaotic, /*slo_class=*/"sql");
   ASSERT_TRUE(failed.ok()) << failed.status();
-  ASSERT_TRUE(jobs.WaitForIdle(30.0));
+  ASSERT_TRUE(plane.WaitForIdle(30.0));
 
-  auto record = jobs.Get(failed.value());
+  auto record = plane.Get(failed.value());
   ASSERT_TRUE(record.ok());
   ASSERT_EQ(record.value().state, JobState::kFailed);
   EXPECT_EQ(record.value().slo_class, "sql");
@@ -332,10 +358,10 @@ TEST(JobServiceTest, FailedJobCarriesSloClassAndEventSnapshot) {
   // failure above expire first.
   server.engines().AdvanceSimClock(
       server.engines().breaker_config().max_suspension_seconds + 1.0);
-  auto ok = jobs.Submit(graph.value(), "lc");
+  auto ok = SubmitLc(&plane, graph.value());
   ASSERT_TRUE(ok.ok()) << ok.status();
-  ASSERT_TRUE(jobs.WaitForIdle(30.0));
-  record = jobs.Get(ok.value());
+  ASSERT_TRUE(plane.WaitForIdle(30.0));
+  record = plane.Get(ok.value());
   ASSERT_TRUE(record.ok());
   ASSERT_EQ(record.value().state, JobState::kSucceeded)
       << record.value().error;
@@ -388,11 +414,8 @@ TEST(JobsRestTest, AsyncExecuteLifecycle) {
 
 TEST(JobsRestTest, QueueFullReturns429) {
   IresServer server;
-  JobService::Options options;
-  options.workers = 1;
-  options.queue_capacity = 1;
-  JobService jobs(&server, options);
-  RestApi api(&server, &jobs);
+  ControlPlane plane(&server, OneReplica(/*workers=*/1, /*queue=*/1));
+  RestApi api(&server, &plane);
   RegisterLineCount(&api);
 
   int rejected_429 = 0;
@@ -409,7 +432,7 @@ TEST(JobsRestTest, QueueFullReturns429) {
     }
   }
   EXPECT_GT(rejected_429, 0);
-  EXPECT_TRUE(jobs.WaitForIdle(60.0));
+  EXPECT_TRUE(plane.WaitForIdle(60.0));
 }
 
 TEST(JobsRestTest, StatsEndpointCountsCacheHits) {
@@ -451,11 +474,9 @@ TEST(ServiceStressTest, ConcurrentSubmissionsAllTerminalNoLostUpdates) {
   constexpr int kPerThread = 8;  // 64 runs total, within the model window
 
   IresServer server;
-  JobService::Options options;
-  options.workers = 4;
-  options.queue_capacity = kThreads * kPerThread;
-  JobService jobs(&server, options);
-  RestApi api(&server, &jobs);
+  ControlPlane plane(&server, OneReplica(/*workers=*/4,
+                                         /*queue=*/kThreads * kPerThread));
+  RestApi api(&server, &plane);
   RegisterLineCount(&api);
 
   std::atomic<int> accepted{0};
@@ -473,11 +494,11 @@ TEST(ServiceStressTest, ConcurrentSubmissionsAllTerminalNoLostUpdates) {
   }
   for (std::thread& t : threads) t.join();
   ASSERT_EQ(accepted.load(), kThreads * kPerThread);
-  ASSERT_TRUE(jobs.WaitForIdle(120.0));
+  ASSERT_TRUE(plane.WaitForIdle(120.0));
 
   // Every job reached a terminal state, none failed.
   int succeeded = 0;
-  for (const JobRecord& record : jobs.List()) {
+  for (const JobRecord& record : plane.List()) {
     EXPECT_TRUE(IsTerminal(record.state))
         << record.id << " in " << JobStateName(record.state);
     if (record.state == JobState::kSucceeded) ++succeeded;
@@ -497,7 +518,7 @@ TEST(ServiceStressTest, ConcurrentSubmissionsAllTerminalNoLostUpdates) {
   EXPECT_GE(cache.hits + cache.misses,
             static_cast<uint64_t>(kThreads * kPerThread));
 
-  const JobService::Stats stats = jobs.stats();
+  const JobService::Stats stats = plane.replica(0)->stats();
   EXPECT_EQ(stats.submitted, static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(stats.succeeded, static_cast<uint64_t>(succeeded));
   EXPECT_EQ(stats.queue_depth, 0u);

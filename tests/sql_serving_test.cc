@@ -13,7 +13,7 @@
 #include "common/json.h"
 #include "core/request_options.h"
 #include "core/rest_api.h"
-#include "service/job_service.h"
+#include "service/control_plane.h"
 #include "service/sql_service.h"
 #include "sql/lowering.h"
 #include "sql/sql_parser.h"
@@ -169,10 +169,10 @@ TEST(SqlServiceTest, RejectionsCarryStructuredDiagnostics) {
 
 class SqlApiTest : public ::testing::Test {
  protected:
-  SqlApiTest() : jobs_(&server_), api_(&server_, &jobs_) {}
+  SqlApiTest() : plane_(&server_), api_(&server_, &plane_) {}
 
   IresServer server_;
-  JobService jobs_;
+  ControlPlane plane_;
   RestApi api_;
 };
 
@@ -199,7 +199,7 @@ TEST_F(SqlApiTest, AsyncSubmissionRunsThroughTheJobsSurface) {
   const size_t start = at + 9;
   const std::string job_id =
       response.body.substr(start, response.body.find('"', start) - start);
-  ASSERT_TRUE(jobs_.WaitForIdle(30.0));
+  ASSERT_TRUE(plane_.WaitForIdle(30.0));
 
   ApiResponse record = api_.Handle("GET", "/apiv1/jobs/" + job_id);
   ASSERT_EQ(record.code, 200);
@@ -221,9 +221,7 @@ TEST_F(SqlApiTest, ModeCanComeFromTheOptionsBody) {
       "\"retry\":{\"attempts\":2}}}");
   ASSERT_EQ(response.code, 202) << response.body;
   EXPECT_NE(response.body.find("\"jobId\":\""), std::string::npos);
-  // Structured body, no legacy parameters -> no deprecation warnings.
-  EXPECT_EQ(response.body.find("\"warnings\""), std::string::npos);
-  ASSERT_TRUE(jobs_.WaitForIdle(30.0));
+  ASSERT_TRUE(plane_.WaitForIdle(30.0));
 }
 
 TEST_F(SqlApiTest, MalformedSqlYieldsStructured422) {
@@ -287,26 +285,32 @@ TEST_F(SqlApiTest, SqlTrafficShowsUpInMetrics) {
 
 // ------------------------------------------- structured execution options
 
-TEST_F(SqlApiTest, LegacyQueryParametersWarnButWork) {
-  ApiResponse response = api_.Handle(
-      "POST", "/apiv1/sql?maxReplans=2&retryAttempts=2",
-      "SELECT * FROM nation, region WHERE n_regionkey = r_regionkey");
-  ASSERT_EQ(response.code, 200) << response.body;
-  EXPECT_NE(response.body.find("\"warnings\":["), std::string::npos);
-  EXPECT_NE(response.body.find("'maxReplans' is deprecated"),
-            std::string::npos);
-  EXPECT_NE(response.body.find("options.retry.attempts"), std::string::npos);
-}
-
-TEST_F(SqlApiTest, MixingLegacyParametersWithOptionsBodyIsRejected) {
-  ApiResponse response = api_.Handle(
+TEST_F(SqlApiTest, RemovedFlatQueryParametersAreRejected) {
+  // The flat tuning parameters of the pre-options API are gone: each is
+  // now an unknown query key, rejected rather than silently ignored.
+  for (const char* key :
+       {"strategy=ires", "maxReplans=2", "retryAttempts=2",
+        "retryBackoffSeconds=0", "stragglerMultiplier=2", "chaosSeed=1",
+        "chaosTransient=0.1", "chaosTimeout=0.1", "chaosCrash=0.1",
+        "chaosCrashEngine=Spark"}) {
+    ApiResponse response = api_.Handle(
+        "POST", std::string("/apiv1/sql?") + key,
+        "SELECT * FROM nation, region WHERE n_regionkey = r_regionkey");
+    EXPECT_EQ(response.code, 400) << key << ": " << response.body;
+    EXPECT_NE(response.body.find("unsupported execute query key"),
+              std::string::npos)
+        << response.body;
+  }
+  // The same parameter next to a structured body is the same 400.
+  ApiResponse mixed = api_.Handle(
       "POST", "/apiv1/sql?maxReplans=2",
       "{\"query\":\"SELECT * FROM nation, region WHERE "
       "n_regionkey = r_regionkey\","
       "\"options\":{\"retry\":{\"attempts\":2}}}");
-  EXPECT_EQ(response.code, 400);
-  EXPECT_NE(response.body.find("both as query parameters"),
-            std::string::npos);
+  EXPECT_EQ(mixed.code, 400);
+  EXPECT_NE(mixed.body.find("unsupported execute query key: maxReplans"),
+            std::string::npos)
+      << mixed.body;
 }
 
 TEST_F(SqlApiTest, UnknownOptionKeysAreRejectedNotIgnored) {
@@ -335,8 +339,8 @@ TEST_F(SqlApiTest, UnknownOptionKeysAreRejectedNotIgnored) {
 }
 
 TEST_F(SqlApiTest, ExecuteRouteSharesTheOptionsParser) {
-  // The workflow execute route accepts the same structured body; a legacy
-  // tuning parameter on it draws the same deprecation warning.
+  // The workflow execute route accepts the same structured body and
+  // rejects a flat tuning parameter with the same 400.
   ASSERT_EQ(api_.Handle("POST", "/apiv1/datasets/asapServerLog",
                         "Constraints.Engine.FS=HDFS\n"
                         "Execution.path=hdfs:///log\n"
@@ -363,18 +367,18 @@ TEST_F(SqlApiTest, ExecuteRouteSharesTheOptionsParser) {
                 .code,
             201);
 
-  ApiResponse legacy =
+  ApiResponse flat =
       api_.Handle("POST", "/apiv1/workflows/lc/execute?maxReplans=1");
-  ASSERT_EQ(legacy.code, 200) << legacy.body;
-  EXPECT_NE(legacy.body.find("'maxReplans' is deprecated"),
-            std::string::npos);
+  EXPECT_EQ(flat.code, 400) << flat.body;
+  EXPECT_NE(flat.body.find("unsupported execute query key: maxReplans"),
+            std::string::npos)
+      << flat.body;
 
   ApiResponse structured = api_.Handle(
       "POST", "/apiv1/workflows/lc/execute",
       "{\"options\":{\"execution\":{\"maxReplans\":1},"
       "\"retry\":{\"attempts\":2,\"backoffSeconds\":0}}}");
   ASSERT_EQ(structured.code, 200) << structured.body;
-  EXPECT_EQ(structured.body.find("\"warnings\""), std::string::npos);
 
   ApiResponse conflict = api_.Handle(
       "POST", "/apiv1/workflows/lc/execute?maxReplans=1",
