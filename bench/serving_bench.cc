@@ -1,18 +1,10 @@
-// Open-loop serving benchmark over the work-stealing substrate: a Poisson
-// arrival process drives a ~70% DAG / 30% SQL request mix through the REST
-// front door at a swept offered rate, recording p50/p99/p999 latency from
+// Open-loop serving benchmark over the shared job pool: a Poisson arrival
+// process drives a ~70% DAG / 30% SQL request mix through the REST front
+// door at a swept offered rate, recording p50/p99/p999 latency from
 // *scheduled* arrival (open-loop: client backlog counts, so saturation shows
 // up as unbounded tails instead of silently shedding load), the achieved
-// throughput, the measured saturation point, and the scheduler's steal rate
-// per window.
-//
-// Two modes are swept A/B:
-//   shared      one server whose TaskScheduler (N workers) runs every
-//               subsystem — job execution, SQL optimization, planner fan-out
-//   partitioned the pre-substrate architecture: a DAG server and a SQL
-//               server with private schedulers splitting the same N workers
-//               70/30, so neither stream can soak up the other's idle
-//               capacity
+// throughput, the measured saturation point, and the pool's worker parks
+// per window. One server runs every job on its N-worker TaskScheduler.
 //
 // Dumps BENCH_serving.json; CI runs `serving_bench --smoke`, archives the
 // file, and fails when warm_requests_per_sec regresses >20% against the
@@ -37,7 +29,6 @@
 #include "service/control_plane.h"
 #include "service/sql_service.h"
 #include "sql/tpch_queries.h"
-#include "threading/task_scheduler.h"
 
 namespace {
 
@@ -91,40 +82,24 @@ std::string VaryLiteral(const std::string& query, int salt) {
          query.substr(end);
 }
 
-/// One serving deployment under test. Both modes run a single server (same
-/// library, plan cache, refinement state and locks) and differ only in the
-/// execution substrate:
-///
-///   shared      the server's TaskScheduler has all N workers and every
-///               subsystem runs on it — jobs, SQL optimization, NSGA-II
-///   partitioned the pre-substrate architecture: the job service runs on a
-///               private dag_workers-thread scheduler while SQL optimization
-///               and provisioning fan-outs keep the server scheduler's
-///               remaining workers, so neither side can soak up the other's
-///               idle capacity
+/// One serving deployment under test: a server whose N-worker job pool
+/// runs every DAG and SQL job, behind a control plane and the REST layer.
 struct ServingStack {
   std::unique_ptr<IresServer> server;
-  std::unique_ptr<TaskScheduler> job_sched;  // null in shared mode
   std::unique_ptr<ControlPlane> plane;
   std::unique_ptr<RestApi> api;
 
-  static ServingStack Make(bool shared, int workers, int dag_workers,
-                           int sql_workers) {
+  static ServingStack Make(int workers) {
     ServingStack s;
     IresServer::Config config;
-    config.scheduler_workers = shared ? workers : sql_workers;
-    // NSGA-II provisioning makes every DAG job fan out on the scheduler
-    // (ParallelFor from a worker thread -> own-deque spawns -> stealable
-    // work), so the bench exercises the substrate, not just dispatch.
+    config.scheduler_workers = workers;
+    // NSGA-II provisioning per DAG job, so each job carries real
+    // optimization work, not just dispatch.
     config.provision_resources = true;
     s.server = std::make_unique<IresServer>(config);
     ControlPlane::Options plane_options;
-    plane_options.replica_options.workers = shared ? workers : dag_workers;
+    plane_options.replica_options.workers = workers;
     plane_options.replica_options.queue_capacity = 512;
-    if (!shared) {
-      s.job_sched = std::make_unique<TaskScheduler>(dag_workers);
-      plane_options.replica_options.scheduler = s.job_sched.get();
-    }
     s.plane = std::make_unique<ControlPlane>(s.server.get(), plane_options);
     s.api = std::make_unique<RestApi>(s.server.get(), s.plane.get());
     return s;
@@ -132,17 +107,11 @@ struct ServingStack {
 
   bool Setup() { return RegisterLineCount(api.get()); }
 
-  TaskScheduler::Stats SchedulerStats() const {
-    TaskScheduler::Stats total = server->scheduler().stats();
-    if (job_sched != nullptr) {
-      const TaskScheduler::Stats job = job_sched->stats();
-      total.submitted += job.submitted;
-      total.executed += job.executed;
-      total.rejected += job.rejected;
-      total.steals += job.steals;
-      total.parks += job.parks;
-    }
-    return total;
+  uint64_t Parks() const {
+    return server->metrics()
+        .GetCounter("ires_sched_parks_total",
+                    "Worker park (sleep) transitions")
+        ->Value();
   }
 };
 
@@ -205,8 +174,6 @@ struct RateResult {
   double p999_ms = 0.0;
   double dag_p99_ms = 0.0;
   double sql_p99_ms = 0.0;
-  double steal_rate = 0.0;  // steals per executed scheduler task
-  uint64_t steals = 0;
   uint64_t parks = 0;
   bool saturated = false;
 };
@@ -243,7 +210,7 @@ RateResult RunWindow(ServingStack* stack, const std::string& query,
   std::mutex result_mu;
   std::atomic<int> errors{0};
 
-  const TaskScheduler::Stats before = stack->SchedulerStats();
+  const uint64_t parks_before = stack->Parks();
   const double start = NowSeconds() + 0.05;
 
   std::vector<std::thread> pool;
@@ -297,12 +264,7 @@ RateResult RunWindow(ServingStack* stack, const std::string& query,
   for (std::thread& t : pool) t.join();
   const double end = NowSeconds();
 
-  const TaskScheduler::Stats after = stack->SchedulerStats();
-  const uint64_t executed = after.executed - before.executed;
-  r.steals = after.steals - before.steals;
-  r.parks = after.parks - before.parks;
-  r.steal_rate =
-      executed > 0 ? static_cast<double>(r.steals) / executed : 0.0;
+  r.parks = stack->Parks() - parks_before;
 
   r.errors = errors.load();
   std::sort(latencies_ms.begin(), latencies_ms.end());
@@ -338,7 +300,7 @@ void Warmup(ServingStack* stack, const std::string& query) {
 /// completed run, all of which an open-loop deployment actually pays.
 double EstimateCapacityRps(int workers, int clients,
                            const std::string& query) {
-  ServingStack stack = ServingStack::Make(true, workers, workers, workers);
+  ServingStack stack = ServingStack::Make(workers);
   if (!stack.Setup()) return 0.0;
   Warmup(&stack, query);
   std::atomic<bool> stop{false};
@@ -373,17 +335,15 @@ struct ModeReport {
   double saturation_rps = 0.0;  // highest pre-saturation achieved rate
 };
 
-ModeReport RunMode(const std::string& name, bool shared, int workers,
-                   int dag_workers, int sql_workers, const std::string& query,
-                   const std::vector<double>& rates, double seconds_per_rate,
-                   int clients) {
+ModeReport RunMode(const std::string& name, int workers,
+                   const std::string& query, const std::vector<double>& rates,
+                   double seconds_per_rate, int clients) {
   ModeReport report;
   report.name = name;
   for (const double rate : rates) {
     // A fresh stack per rate keeps windows independent: no refinement
     // backlog or journal growth bleeds from one rate into the next.
-    ServingStack stack =
-        ServingStack::Make(shared, workers, dag_workers, sql_workers);
+    ServingStack stack = ServingStack::Make(workers);
     if (!stack.Setup()) {
       std::fprintf(stderr, "stack setup failed\n");
       continue;
@@ -394,9 +354,10 @@ ModeReport RunMode(const std::string& name, bool shared, int workers,
     RateResult r = RunWindow(&stack, query, rate, count, clients);
     std::printf(
         "%-11s rate=%7.1f rps  achieved=%7.1f  p50=%8.2fms p99=%8.2fms "
-        "(dag %7.2f / sql %7.2f)  p999=%8.2fms  steal=%.3f  errors=%d%s\n",
+        "(dag %7.2f / sql %7.2f)  p999=%8.2fms  parks=%llu  errors=%d%s\n",
         name.c_str(), r.offered_rps, r.achieved_rps, r.p50_ms, r.p99_ms,
-        r.dag_p99_ms, r.sql_p99_ms, r.p999_ms, r.steal_rate, r.errors,
+        r.dag_p99_ms, r.sql_p99_ms, r.p999_ms,
+        static_cast<unsigned long long>(r.parks), r.errors,
         r.saturated ? "  [saturated]" : "");
     report.sweep.push_back(r);
     if (!r.saturated) report.saturation_rps = r.achieved_rps;
@@ -419,12 +380,9 @@ std::string SweepJson(const ModeReport& report) {
                   "\"requests\": %d, \"errors\": %d, \"p50_ms\": %.2f, "
                   "\"p99_ms\": %.2f, \"p999_ms\": %.2f, "
                   "\"dag_p99_ms\": %.2f, \"sql_p99_ms\": %.2f, "
-                  "\"steal_rate\": %.3f, \"steals\": %llu, \"parks\": %llu, "
-                  "\"saturated\": %s}%s",
+                  "\"parks\": %llu, \"saturated\": %s}%s",
                   r.offered_rps, r.achieved_rps, r.requests, r.errors,
                   r.p50_ms, r.p99_ms, r.p999_ms, r.dag_p99_ms, r.sql_p99_ms,
-                  r.steal_rate,
-                  static_cast<unsigned long long>(r.steals),
                   static_cast<unsigned long long>(r.parks),
                   r.saturated ? "true" : "false",
                   i + 1 < report.sweep.size() ? ",\n" : "\n");
@@ -445,8 +403,6 @@ int main(int argc, char** argv) {
   int workers = static_cast<int>(std::thread::hardware_concurrency());
   if (workers < 4) workers = 4;
   if (workers > 8) workers = 8;
-  const int dag_workers = std::max(1, (workers * 7 + 5) / 10);
-  const int sql_workers = std::max(1, workers - dag_workers);
   const int clients = workers * 3;
 
   const std::string query = sql::MusqleQuerySet()[13];  // 2-table filtered
@@ -469,34 +425,10 @@ int main(int argc, char** argv) {
   const double seconds_per_rate = smoke ? 1.0 : 3.0;
 
   ModeReport shared_report =
-      RunMode("shared", true, workers, dag_workers, sql_workers, query, rates,
-              seconds_per_rate, clients);
-  ModeReport partitioned_report =
-      RunMode("partitioned", false, workers, dag_workers, sql_workers, query,
-              rates, seconds_per_rate, clients);
+      RunMode("shared", workers, query, rates, seconds_per_rate, clients);
 
-  // A/B verdict: p99 at the highest rate both deployments survived.
-  double ab_rate = 0.0, shared_p99 = 0.0, partitioned_p99 = 0.0;
-  for (size_t i = 0; i < shared_report.sweep.size() &&
-                     i < partitioned_report.sweep.size();
-       ++i) {
-    if (!shared_report.sweep[i].saturated &&
-        !partitioned_report.sweep[i].saturated) {
-      ab_rate = shared_report.sweep[i].offered_rps;
-      shared_p99 = shared_report.sweep[i].p99_ms;
-      partitioned_p99 = partitioned_report.sweep[i].p99_ms;
-    }
-  }
-  const bool shared_wins = shared_p99 > 0.0 && shared_p99 <= partitioned_p99;
-  if (ab_rate > 0.0) {
-    std::printf(
-        "A/B at %.1f rps: shared p99=%.2fms vs partitioned p99=%.2fms -> %s\n",
-        ab_rate, shared_p99, partitioned_p99,
-        shared_wins ? "shared wins" : "partitioned wins");
-  }
-
-  // The CI regression metric: best achieved warm throughput of the shared
-  // deployment across the sweep.
+  // The CI regression metric: best achieved warm throughput across the
+  // sweep.
   double warm_rps = 0.0;
   for (const RateResult& r : shared_report.sweep) {
     warm_rps = std::max(warm_rps, r.achieved_rps);
@@ -506,25 +438,14 @@ int main(int argc, char** argv) {
   json += smoke ? "  \"mode\": \"smoke\",\n" : "  \"mode\": \"full\",\n";
   char head[320];
   std::snprintf(head, sizeof(head),
-                "  \"workers\": %d,\n  \"dag_workers\": %d,\n"
-                "  \"sql_workers\": %d,\n  \"clients\": %d,\n"
+                "  \"workers\": %d,\n  \"clients\": %d,\n"
                 "  \"mix\": {\"dag\": 0.7, \"sql\": 0.3},\n"
                 "  \"estimated_capacity_rps\": %.1f,\n"
                 "  \"warm_requests_per_sec\": %.1f,\n",
-                workers, dag_workers, sql_workers, clients, capacity,
-                warm_rps);
+                workers, clients, capacity, warm_rps);
   json += head;
-  char ab[256];
-  std::snprintf(ab, sizeof(ab),
-                "  \"ab\": {\"rate_rps\": %.1f, \"shared_p99_ms\": %.2f, "
-                "\"partitioned_p99_ms\": %.2f, \"shared_wins\": %s},\n",
-                ab_rate, shared_p99, partitioned_p99,
-                shared_wins ? "true" : "false");
-  json += ab;
   json += "  \"modes\": [\n";
   json += SweepJson(shared_report);
-  json += ",\n";
-  json += SweepJson(partitioned_report);
   json += "\n  ]\n}\n";
 
   const char* out_path = "BENCH_serving.json";

@@ -17,7 +17,7 @@ namespace ires {
 /// cross-subsystem chains, with the rationale for each edge, are documented
 /// in DESIGN.md "Concurrency correctness"; the load-bearing ones are
 ///
-///   JobService -> scheduler gate/inject    (DispatchLocked submits tasks
+///   JobService -> scheduler queue          (DispatchLocked submits tasks
 ///                                           while holding the job table)
 ///   JobService -> EventJournal/Trace       (admission + failure snapshots
 ///                                           are journaled under mu_)
@@ -25,17 +25,12 @@ namespace ires {
 ///                                           and gauge under health_mu_)
 ///   ModelLibraryMap -> ModelLibraryPair    (SaveToDirectory iterates pairs
 ///                                           under the map lock)
-///   scheduler gate -> inject -> park       (Enqueue's fixed internal chain)
 ///   anything -> MetricsRegistry -> (none)  (registration is a leaf; only
 ///                                           the Logger ranks below it)
 ///
-/// Two rules of thumb keep the table stable:
-///  1. Subsystems that *call into* other subsystems while holding their
-///     lock must outrank-precede them (appear earlier / lower).
-///  2. Never call TaskGroup::Wait / ParallelFor holding ANY ranked lock:
-///     the caller-helps waiter executes arbitrary unrelated tasks, which
-///     may acquire any rank in the table (see the scheduler's analysis
-///     boundary in DESIGN.md).
+/// The rule of thumb that keeps the table stable: subsystems that *call
+/// into* other subsystems while holding their lock must outrank-precede
+/// them (appear earlier / lower).
 ///
 /// Gaps between values are deliberate — new subsystems slot in without
 /// renumbering.
@@ -72,23 +67,15 @@ enum class LockRank : int {
   /// EngineRegistry breaker state; journals transitions and registers
   /// gauges while held.
   kEngineRegistry = 550,
-  /// NsgaResourceProvisioner front snapshot (never held across the GA —
-  /// the GA fans out onto the scheduler).
+  /// NsgaResourceProvisioner front snapshot (never held across the GA).
   kResourceProvisioner = 600,
   /// DriftObservatory pair map; registers metrics while held.
   kDriftObservatory = 650,
   /// SloMonitor history; visits the metrics registry while held.
   kSloMonitor = 700,
-  /// TaskScheduler shutdown admission gate (shared by every Submit).
-  kSchedulerGate = 750,
-  /// TaskScheduler external-injection queue (nested inside the gate).
-  kSchedulerInject = 760,
-  /// TaskScheduler parking lot (nested inside gate+inject via NotifyOne).
-  kSchedulerPark = 770,
-  /// TaskScheduler backlog timer (standalone, polled by healthz).
-  kSchedulerBacklog = 780,
-  /// TaskGroup completion latch / inline-task list.
-  kTaskGroup = 800,
+  /// TaskScheduler FIFO, shutdown flag and backlog timer. Taken by every
+  /// Submit, including from under kJobService.
+  kScheduler = 750,
   /// EventJournal ring shard. One shard at a time (queries lock
   /// sequentially, never simultaneously).
   kEventJournalShard = 850,

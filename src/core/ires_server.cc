@@ -70,10 +70,10 @@ IresServer::IresServer(Config config)
       slo_(&metrics_) {
   TaskScheduler::Options sched_options;
   sched_options.workers = config.scheduler_workers;
-  sched_options.metrics = &metrics_;
   sched_options.journal = &journal_;
   sched_options.clock = config.scheduler_clock;
-  scheduler_ = std::make_unique<TaskScheduler>(std::move(sched_options));
+  scheduler_ =
+      std::make_unique<TaskScheduler>(metrics_, std::move(sched_options));
 
   engines_ = MakeStandardEngineRegistry();
   engines_->EnableMetrics(&metrics_);
@@ -117,7 +117,6 @@ IresServer::IresServer(Config config)
   Nsga2::Options ga;
   ga.population = 24;
   ga.generations = 30;
-  ga.scheduler = scheduler_.get();
   provisioner_ = std::make_unique<NsgaResourceProvisioner>(limits, ga);
   model_estimator_ = std::make_unique<ModelBasedCostEstimator>(&models_);
   plan_cache_ =

@@ -82,9 +82,9 @@ class IresServer {
     bool provision_resources = false;
     /// Capacity of the planner-level plan cache (0 disables caching).
     size_t plan_cache_capacity = 128;
-    /// Worker threads of the shared task scheduler every subsystem
-    /// (job execution, SQL optimization, planner fan-out, NSGA-II) runs
-    /// on; <=0 uses the hardware concurrency.
+    /// Worker threads of the shared job pool: each runs one job at a time
+    /// (planning, provisioning and simulated execution on that thread);
+    /// <=0 uses the hardware concurrency.
     int scheduler_workers = 0;
     /// Injectable clock (seconds) for the scheduler's backlog tracker —
     /// what /apiv1/healthz saturation tests march forward. Null uses the
@@ -227,10 +227,8 @@ class IresServer {
   /// SLO burn-rate monitor rendered by /apiv1/healthz and /apiv1/metrics.
   SloMonitor& slo() { return slo_; }
 
-  /// The shared work-stealing execution substrate. One instance per server:
-  /// JobService dispatch, the SQL optimizer's DPccp enumeration, planner
-  /// fan-out and NSGA-II evaluation all run here, so a busy subsystem can
-  /// soak up the workers an idle one isn't using.
+  /// The shared job pool. One instance per server: every JobService
+  /// replica dispatches its jobs here, one task per job.
   TaskScheduler& scheduler() { return *scheduler_; }
 
   /// The refined execution-time estimator for one (algorithm, engine)

@@ -299,11 +299,10 @@ ApiResponse RestApi::HandleHealthz() {
                     : static_cast<double>(stats.queue_depth) /
                           static_cast<double>(capacity);
   const bool saturated = capacity > 0 && stats.queue_depth >= capacity;
-  // Execution-substrate saturation: all subsystems share one work-stealing
-  // scheduler, so its ready-queue depth is the replica-wide backpressure
-  // signal (it replaced the old per-pool ires_pool_pending_tasks gauges).
-  // A transient burst is normal; a backlog that *stays* above
-  // workers x backlog_per_worker for longer than the grace window means the
+  // Job-pool saturation: every replica dispatches onto the server's one
+  // TaskScheduler, so its queue depth is the replica-wide backpressure
+  // signal. A transient burst is normal; a backlog that *stays* above
+  // workers x kBacklogPerWorker for longer than the grace window means the
   // replica is falling behind and the probe degrades.
   TaskScheduler& sched = server_->scheduler();
   const size_t sched_pending = sched.pending();

@@ -44,10 +44,8 @@ Resources NsgaResourceProvisioner::Advise(const SimulatedEngine& engine,
     return {estimate.value().exec_seconds, estimate.value().cost};
   };
 
-  // The GA — including its possibly pooled objective evaluation, which
-  // blocks in TaskGroup::Wait — runs entirely on locals. mu_ is only taken
-  // at the end to publish the front: a ranked lock must never be held
-  // across Wait (caller-helps waiting executes arbitrary unrelated tasks).
+  // The GA runs entirely on locals; mu_ is only taken at the end to
+  // publish the front.
   Nsga2 ga(ga_);
   std::vector<Nsga2::Individual> raw_front = ga.Optimize(bounds, evaluate);
 

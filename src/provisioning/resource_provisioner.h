@@ -24,18 +24,12 @@ class NsgaResourceProvisioner : public ResourceAdvisor {
   };
 
   NsgaResourceProvisioner() = default;
-  /// `ga.pool` may be set to parallelize objective evaluation: the
-  /// objective here is SimulatedEngine::Estimate on a copied request, which
-  /// is safe for concurrent calls. Results stay bit-identical to serial.
   NsgaResourceProvisioner(Limits limits, Nsga2::Options ga)
       : limits_(limits), ga_(ga) {}
 
-  /// Thread-safe. The GA (and its possibly pooled objective evaluation)
-  /// runs entirely on call-local state; mu_ is only taken afterwards to
-  /// publish the computed front. Holding mu_ across the GA would hold a
-  /// ranked lock across TaskGroup::Wait — the scheduler's caller-helps
-  /// waiting executes arbitrary unrelated tasks, which is outside the
-  /// scheduler analysis boundary (see DESIGN.md).
+  /// Thread-safe. The GA runs entirely on call-local state; mu_ is only
+  /// taken afterwards to publish the computed front, so concurrent jobs
+  /// never serialize on each other's GA.
   Resources Advise(const SimulatedEngine& engine,
                    const OperatorRunRequest& request,
                    const OptimizationPolicy& policy) override EXCLUDES(mu_);

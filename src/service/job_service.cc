@@ -73,8 +73,6 @@ JobService::JobService(IresServer* server, Options options,
   job_duration_seconds_ = metrics.GetHistogram(
       "ires_job_duration_seconds",
       "Wall-clock submission-to-terminal latency per job.");
-  sched_ = options_.scheduler != nullptr ? options_.scheduler
-                                         : &server_->scheduler();
 }
 
 JobService::~JobService() { Shutdown(); }
@@ -240,7 +238,8 @@ void JobService::DispatchLocked() {
     run_queue_.erase(best);
     vclock_ = std::max(vclock_, job->vfinish);
     ++dispatched_;
-    if (!sched_->Submit([this, job] { RunJob(job); }, "job.run")) {
+    if (!server_->scheduler().Submit([this, job] { RunJob(job); },
+                                     "job.run")) {
       // The scheduler has shut down under us (it journals the
       // task_rejected) — terminate the record instead of stranding it.
       --dispatched_;

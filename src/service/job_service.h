@@ -117,8 +117,7 @@ struct JobRecord {
 /// ControlPlane — the only caller of Submit — into a bounded admission
 /// queue and drives the plan→execute→refine pipeline on
 /// the server's shared TaskScheduler, holding at most `workers` jobs
-/// in flight at once (the concurrency cap the private worker pool used to
-/// provide — but idle capacity is now shared with every other subsystem).
+/// in flight at once; every replica shares the server's workers.
 /// Submissions beyond the queue bound are rejected with ResourceExhausted
 /// (HTTP 429 through the REST mapping) — the admission-control primitive
 /// that lets a long-lived multi-user IReS deployment shed load instead of
@@ -130,14 +129,12 @@ struct JobRecord {
 class JobService {
  public:
   struct Options {
-    /// Maximum jobs dispatched to the scheduler concurrently — the job
-    /// service's share of the substrate, not a thread count.
+    /// Maximum jobs dispatched to the scheduler concurrently — the
+    /// replica's share of the job pool, not a thread count.
     int workers = 4;
     /// Jobs admitted but not yet picked up by a worker. Submissions are
     /// rejected once this many are waiting.
     size_t queue_capacity = 64;
-    /// Execution substrate; null uses the server's shared scheduler.
-    TaskScheduler* scheduler = nullptr;
   };
 
   struct Stats {
@@ -286,8 +283,8 @@ class JobService {
   /// Feeds queued jobs to the scheduler while dispatch slots are free.
   /// Jobs the scheduler refuses (shut down) are cancelled on the spot, so
   /// no record is ever stranded in QUEUED. Enqueueing under mu_ is safe:
-  /// TaskScheduler::Submit only takes scheduler locks (all ranked above
-  /// kJobService) and never blocks in TaskGroup::Wait.
+  /// TaskScheduler::Submit only takes the scheduler's queue lock (ranked
+  /// above kJobService) and never waits on other tasks.
   void DispatchLocked() REQUIRES(mu_);
   /// Closes out a job reaching a terminal state while holding mu_:
   /// timestamps, the terminal counter, the duration histogram and the idle
@@ -345,10 +342,6 @@ class JobService {
   Gauge* active_gauge_;
   Histogram* queue_wait_seconds_;
   Histogram* job_duration_seconds_;
-
-  /// The shared substrate (not owned); Shutdown drains our dispatched jobs
-  /// but never stops the scheduler itself.
-  TaskScheduler* sched_;
 };
 
 }  // namespace ires

@@ -1,20 +1,11 @@
 #include "threading/task_scheduler.h"
 
-#include <algorithm>
-#include <cassert>
 #include <chrono>
+#include <utility>
 
 namespace ires {
 
 namespace {
-
-// Worker-thread identity: which scheduler (if any) owns the current thread,
-// and its worker index there. Lets Enqueue push straight onto the local
-// deque, and lets TaskGroup::Wait help-execute with proper attribution even
-// when called from inside a task. Workers of *another* scheduler instance
-// resolve to "external" for this one.
-thread_local TaskScheduler* tls_scheduler = nullptr;
-thread_local int tls_worker = -1;
 
 double SteadySeconds() {
   return std::chrono::duration<double>(
@@ -22,160 +13,37 @@ double SteadySeconds() {
       .count();
 }
 
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 }  // namespace
 
-namespace sched_internal {
-
-// ---------------------------------------------------------------- WorkDeque
-//
-// Memory-order notes: this is the Chase–Lev deque with the fence-free
-// formulation (seq_cst on the bottom-store/top-load pair in Pop and on the
-// top/bottom loads in Steal) instead of standalone
-// std::atomic_thread_fence — equivalent ordering, but ThreadSanitizer
-// models operations on atomics precisely while it ignores free fences, so
-// this version is provably clean under the CI tsan job.
-
-WorkDeque::Ring::Ring(size_t cap)
-    : capacity(cap), mask(cap - 1),
-      slots(std::make_unique<std::atomic<Task*>[]>(cap)) {}
-
-WorkDeque::WorkDeque(size_t initial_capacity) {
-  auto ring = std::make_unique<Ring>(
-      RoundUpPow2(std::max<size_t>(initial_capacity, 8)));
-  ring_.store(ring.get(), std::memory_order_relaxed);
-  retired_.push_back(std::move(ring));
-}
-
-WorkDeque::~WorkDeque() = default;
-
-WorkDeque::Ring* WorkDeque::Grow(Ring* ring, int64_t top, int64_t bottom) {
-  auto grown = std::make_unique<Ring>(ring->capacity * 2);
-  for (int64_t i = top; i < bottom; ++i) grown->Put(i, ring->Get(i));
-  Ring* raw = grown.get();
-  // Publish before the slot at `bottom` is written; thieves that still read
-  // the old ring see identical values at every live index, so a stale ring
-  // pointer is harmless (and the old ring stays allocated in retired_).
-  ring_.store(raw, std::memory_order_release);
-  retired_.push_back(std::move(grown));
-  return raw;
-}
-
-void WorkDeque::Push(Task* task) {
-  const int64_t b = bottom_.load(std::memory_order_relaxed);
-  const int64_t t = top_.load(std::memory_order_acquire);
-  Ring* ring = ring_.load(std::memory_order_relaxed);
-  if (b - t >= static_cast<int64_t>(ring->capacity) - 1) {
-    ring = Grow(ring, t, b);
-  }
-  ring->Put(b, task);
-  // Release: a thief that observes bottom > its top also observes the slot.
-  bottom_.store(b + 1, std::memory_order_release);
-}
-
-Task* WorkDeque::Pop() {
-  const int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-  Ring* ring = ring_.load(std::memory_order_relaxed);
-  // seq_cst store/load pair: the bottom decrement must be globally visible
-  // before we read top, or a concurrent Steal of the same last element
-  // could also succeed (both taking the task).
-  bottom_.store(b, std::memory_order_seq_cst);
-  int64_t t = top_.load(std::memory_order_seq_cst);
-  if (t > b) {
-    // Deque was empty; restore.
-    bottom_.store(b + 1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  Task* task = ring->Get(b);
-  if (t == b) {
-    // Single element left: race the thieves for it via CAS on top.
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      task = nullptr;  // a thief won
-    }
-    bottom_.store(b + 1, std::memory_order_relaxed);
-  }
-  return task;
-}
-
-Task* WorkDeque::Steal() {
-  int64_t t = top_.load(std::memory_order_seq_cst);
-  const int64_t b = bottom_.load(std::memory_order_seq_cst);
-  if (t >= b) return nullptr;
-  Ring* ring = ring_.load(std::memory_order_acquire);
-  Task* task = ring->Get(t);
-  // The CAS claims index t; on failure another thief (or the owner's Pop of
-  // the last element) got it first.
-  if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                    std::memory_order_relaxed)) {
-    return nullptr;
-  }
-  return task;
-}
-
-size_t WorkDeque::ApproxSize() const {
-  const int64_t b = bottom_.load(std::memory_order_relaxed);
-  const int64_t t = top_.load(std::memory_order_relaxed);
-  return b > t ? static_cast<size_t>(b - t) : 0;
-}
-
-}  // namespace sched_internal
-
-// ------------------------------------------------------------ TaskScheduler
-
-TaskScheduler::TaskScheduler(int workers, MetricsRegistry* metrics)
-    : TaskScheduler([&] {
-        Options options;
-        options.workers = workers;
-        options.metrics = metrics;
-        return options;
-      }()) {}
-
-TaskScheduler::TaskScheduler(Options options)
-    : backlog_per_worker_(std::max<size_t>(options.backlog_per_worker, 1)),
-      clock_(std::move(options.clock)),
-      journal_(options.journal) {
+TaskScheduler::TaskScheduler(MetricsRegistry& metrics, Options options)
+    : clock_(std::move(options.clock)),
+      journal_(options.journal),
+      submitted_total_(metrics.GetCounter("ires_sched_tasks_total",
+                                          "Scheduler task lifecycle",
+                                          {{"event", "submitted"}})),
+      executed_total_(metrics.GetCounter("ires_sched_tasks_total",
+                                         "Scheduler task lifecycle",
+                                         {{"event", "executed"}})),
+      rejected_total_(metrics.GetCounter("ires_sched_tasks_total",
+                                         "Scheduler task lifecycle",
+                                         {{"event", "rejected"}})),
+      parks_total_(metrics.GetCounter("ires_sched_parks_total",
+                                      "Worker park (sleep) transitions")),
+      pending_gauge_(metrics.GetGauge("ires_sched_pending_tasks",
+                                      "Tasks enqueued and not yet running")),
+      wait_seconds_(metrics.GetHistogram(
+          "ires_sched_task_wait_seconds",
+          "Queue wait from enqueue to a worker picking the task up")) {
   int workers = options.workers;
   if (workers <= 0) {
     workers = static_cast<int>(std::thread::hardware_concurrency());
     if (workers <= 0) workers = 4;
   }
-  if (options.metrics != nullptr) {
-    MetricsRegistry& m = *options.metrics;
-    steals_total_ = m.GetCounter("ires_sched_steals_total",
-                                 "Successful work-steals between workers");
-    parks_total_ = m.GetCounter("ires_sched_parks_total",
-                                "Worker park (sleep) transitions");
-    submitted_total_ =
-        m.GetCounter("ires_sched_tasks_total", "Scheduler task lifecycle",
-                     {{"event", "submitted"}});
-    executed_total_ =
-        m.GetCounter("ires_sched_tasks_total", "Scheduler task lifecycle",
-                     {{"event", "executed"}});
-    rejected_total_ =
-        m.GetCounter("ires_sched_tasks_total", "Scheduler task lifecycle",
-                     {{"event", "rejected"}});
-    pending_gauge_ = m.GetGauge("ires_sched_pending_tasks",
-                                "Tasks enqueued and not yet running");
-    wait_seconds_ = m.GetHistogram(
-        "ires_sched_task_wait_seconds",
-        "Queue wait from enqueue to a worker picking the task up");
-  }
-  workers_.reserve(workers);
+  worker_runs_.reserve(workers);
   for (int i = 0; i < workers; ++i) {
-    auto worker = std::make_unique<Worker>();
-    worker->steal_seed = 0x9e3779b97f4a7c15ull * (i + 1) + 1;
-    if (options.metrics != nullptr) {
-      worker->runs_total = options.metrics->GetCounter(
-          "ires_sched_worker_runs_total", "Tasks executed, per worker",
-          {{"worker", std::to_string(i)}});
-    }
-    workers_.push_back(std::move(worker));
+    worker_runs_.push_back(metrics.GetCounter(
+        "ires_sched_worker_runs_total", "Tasks executed, per worker",
+        {{"worker", std::to_string(i)}}));
   }
   threads_.reserve(workers);
   for (int i = 0; i < workers; ++i) {
@@ -189,388 +57,95 @@ double TaskScheduler::ClockSeconds() const {
   return clock_ ? clock_() : SteadySeconds();
 }
 
-int TaskScheduler::CurrentWorkerIndex() const {
-  return tls_scheduler == this ? tls_worker : -1;
-}
-
-bool TaskScheduler::Enqueue(Task* task) {
-  // Shared lock vs. Shutdown's unique lock: once Shutdown returns, no
-  // enqueue can still be in flight with the flag unseen, so "false" and
-  // "will be drained" are exhaustive and exclusive outcomes.
-  ReaderLock gate(gate_);
-  if (shutting_down_.load(std::memory_order_relaxed)) return false;
-  task->enqueued_at = ClockSeconds();
-  ready_count_.fetch_add(1, std::memory_order_seq_cst);
-  const int self = CurrentWorkerIndex();
-  if (self >= 0) {
-    workers_[self]->deque.Push(task);
-  } else {
-    MutexLock lock(inject_mu_);
-    inject_.push_back(task);
-  }
-  if (pending_gauge_ != nullptr) pending_gauge_->Add(1.0);
-  NotifyOne();
-  return true;
-}
-
-void TaskScheduler::NotifyOne() {
-  // seq_cst pairing with the parking protocol: the enqueuer's ready_count
-  // increment and the parker's parked_ increment are both seq_cst, so either
-  // the parker sees the new task on its re-check, or we see parked_ > 0 and
-  // take the lock to wake it. No lost wakeup either way.
-  if (parked_.load(std::memory_order_seq_cst) > 0) {
-    MutexLock lock(park_mu_);
-    park_cv_.notify_one();
-  }
-}
-
-TaskScheduler::Task* TaskScheduler::TryAcquire(int worker_index) {
-  Task* task = nullptr;
-  if (worker_index >= 0) task = workers_[worker_index]->deque.Pop();
-  if (task == nullptr) {
-    MutexLock lock(inject_mu_);
-    if (!inject_.empty()) {
-      task = inject_.front();
-      inject_.pop_front();
+bool TaskScheduler::Submit(std::function<void()> fn,
+                           const std::string& label) {
+  Task task{std::move(fn), label, ClockSeconds()};
+  {
+    // The flag and the queue share one lock, so "Submit returned false"
+    // and "the task will be drained" are exhaustive, exclusive outcomes.
+    MutexLock lock(mu_);
+    if (!shutting_down_) {
+      queue_.push_back(std::move(task));
+      pending_gauge_->Set(static_cast<double>(queue_.size()));
+      submitted_total_->Increment();
+      ready_.notify_one();
+      return true;
     }
   }
-  if (task == nullptr && !workers_.empty()) {
-    // Steal sweep: one full pass over the other workers starting from a
-    // per-thread pseudo-random offset (xorshift), so thieves spread out.
-    thread_local uint64_t steal_rng = 0x2545f4914f6cdd1dull;
-    steal_rng ^= steal_rng << 13;
-    steal_rng ^= steal_rng >> 7;
-    steal_rng ^= steal_rng << 17;
-    const size_t n = workers_.size();
-    const size_t start = static_cast<size_t>(steal_rng % n);
-    for (size_t i = 0; i < n && task == nullptr; ++i) {
-      const size_t victim = (start + i) % n;
-      if (static_cast<int>(victim) == worker_index) continue;
-      task = workers_[victim]->deque.Steal();
-    }
-    if (task != nullptr) {
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      if (steals_total_ != nullptr) steals_total_->Increment();
-    }
+  rejected_total_->Increment();
+  if (journal_ != nullptr) {
+    JournalEvent event;
+    event.kind = EventKind::kTaskRejected;
+    event.code = "shutdown";
+    event.detail = label;
+    journal_->Append(std::move(event));
   }
-  if (task != nullptr) {
-    ready_count_.fetch_sub(1, std::memory_order_seq_cst);
-    if (pending_gauge_ != nullptr) pending_gauge_->Add(-1.0);
-  }
-  return task;
+  return false;
 }
 
-void TaskScheduler::Execute(Task* task, int worker_index) {
-  if (wait_seconds_ != nullptr) {
-    const double wait = ClockSeconds() - task->enqueued_at;
-    wait_seconds_->Observe(wait > 0.0 ? wait : 0.0);
+void TaskScheduler::WorkerLoop(int index) {
+  for (;;) {
+    Task task;
+    {
+      MutexLock lock(mu_);
+      while (queue_.empty() && !shutting_down_) {
+        parks_total_->Increment();
+        // condition_variable_any waits directly on the ires::Mutex, so the
+        // rank registry tracks the release/reacquire inside wait.
+        ready_.wait(mu_);
+      }
+      if (queue_.empty()) return;  // shut down and drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
+      pending_gauge_->Set(static_cast<double>(queue_.size()));
+    }
+    Execute(task, index);
   }
-  const bool span = journal_ != nullptr && journal_->enabled() &&
-                    !task->label.empty();
+}
+
+void TaskScheduler::Execute(const Task& task, int index) {
+  const double wait = ClockSeconds() - task.enqueued_at;
+  wait_seconds_->Observe(wait > 0.0 ? wait : 0.0);
+  const bool span =
+      journal_ != nullptr && journal_->enabled() && !task.label.empty();
   const double started = span ? SteadySeconds() : 0.0;
-  task->fn();
-  executed_.fetch_add(1, std::memory_order_relaxed);
-  if (executed_total_ != nullptr) executed_total_->Increment();
-  if (worker_index >= 0) {
-    Worker& worker = *workers_[worker_index];
-    worker.runs.fetch_add(1, std::memory_order_relaxed);
-    if (worker.runs_total != nullptr) worker.runs_total->Increment();
-  }
+  task.fn();
+  executed_total_->Increment();
+  worker_runs_[index]->Increment();
   if (span) {
     JournalEvent event;
     event.kind = EventKind::kTaskSpan;
     event.value = SteadySeconds() - started;
-    event.detail = task->label;
+    event.detail = task.label;
     journal_->Append(std::move(event));
   }
-  // Fire successors before settling the group: outstanding_ still counts
-  // them, so the group cannot be destroyed under us either way, but this
-  // order gets ready work onto the deques before any waiter wakes.
-  TaskGroup* group = task->group;
-  for (Task* successor : task->successors) {
-    if (successor->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      group->Dispatch(successor);
-    }
-  }
-  const bool detached = task->detached;
-  if (detached) delete task;
-  if (group != nullptr) group->OnTaskFinished();
-}
-
-void TaskScheduler::WorkerLoop(int index) {
-  tls_scheduler = this;
-  tls_worker = index;
-  for (;;) {
-    Task* task = TryAcquire(index);
-    if (task != nullptr) {
-      Execute(task, index);
-      continue;
-    }
-    if (shutting_down_.load(std::memory_order_acquire) &&
-        ready_count_.load(std::memory_order_seq_cst) == 0) {
-      break;
-    }
-    // Park. The seq_cst parked_ increment happens-before the ready_count
-    // re-check; see NotifyOne for the pairing. The timed wait is
-    // belt-and-suspenders against any missed signal (worst case: one 50ms
-    // hiccup, not a hang). condition_variable_any waits directly on the
-    // ires::Mutex, so the rank registry tracks the release/reacquire
-    // inside wait_for.
-    MutexLock lock(park_mu_);
-    parked_.fetch_add(1, std::memory_order_seq_cst);
-    if (ready_count_.load(std::memory_order_seq_cst) == 0 &&
-        !shutting_down_.load(std::memory_order_acquire)) {
-      parks_.fetch_add(1, std::memory_order_relaxed);
-      if (parks_total_ != nullptr) parks_total_->Increment();
-      park_cv_.wait_for(park_mu_, std::chrono::milliseconds(50));
-    }
-    parked_.fetch_sub(1, std::memory_order_seq_cst);
-  }
-  tls_scheduler = nullptr;
-  tls_worker = -1;
-}
-
-bool TaskScheduler::Submit(std::function<void()> fn,
-                           const std::string& label) {
-  Task* task = new Task();
-  task->fn = std::move(fn);
-  task->detached = true;
-  task->label = label;
-  if (!Enqueue(task)) {
-    delete task;
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (rejected_total_ != nullptr) rejected_total_->Increment();
-    if (journal_ != nullptr) {
-      JournalEvent event;
-      event.kind = EventKind::kTaskRejected;
-      event.code = "shutdown";
-      event.detail = label;
-      journal_->Append(std::move(event));
-    }
-    return false;
-  }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (submitted_total_ != nullptr) submitted_total_->Increment();
-  return true;
 }
 
 void TaskScheduler::Shutdown() {
   {
-    // A second caller sees exchange(true) return true but still waits for
-    // the joins below (idempotent, and the destructor must not return
-    // while threads run).
-    WriterLock gate(gate_);
-    shutting_down_.exchange(true);
+    MutexLock lock(mu_);
+    shutting_down_ = true;
   }
-  {
-    // Taken so a parker between its re-check and wait cannot miss the wake.
-    MutexLock lock(park_mu_);
-    park_cv_.notify_all();
-  }
+  ready_.notify_all();
   for (std::thread& thread : threads_) {
     if (thread.joinable()) thread.join();
   }
 }
 
 size_t TaskScheduler::pending() const {
-  const int64_t n = ready_count_.load(std::memory_order_relaxed);
-  return n > 0 ? static_cast<size_t>(n) : 0;
-}
-
-TaskScheduler::Stats TaskScheduler::stats() const {
-  Stats stats;
-  stats.submitted = submitted_.load(std::memory_order_relaxed);
-  stats.executed = executed_.load(std::memory_order_relaxed);
-  stats.rejected = rejected_.load(std::memory_order_relaxed);
-  stats.steals = steals_.load(std::memory_order_relaxed);
-  stats.parks = parks_.load(std::memory_order_relaxed);
-  stats.worker_runs.reserve(workers_.size());
-  for (const auto& worker : workers_) {
-    stats.worker_runs.push_back(worker->runs.load(std::memory_order_relaxed));
-  }
-  return stats;
+  MutexLock lock(mu_);
+  return queue_.size();
 }
 
 double TaskScheduler::BacklogSeconds() {
-  const size_t depth = pending();
-  const size_t threshold = workers_.size() * backlog_per_worker_;
-  MutexLock lock(backlog_mu_);
-  if (depth <= threshold) {
+  const double now = ClockSeconds();
+  MutexLock lock(mu_);
+  if (queue_.size() <= threads_.size() * kBacklogPerWorker) {
     backlog_since_ = -1.0;
     return 0.0;
   }
-  const double now = ClockSeconds();
   if (backlog_since_ < 0.0) backlog_since_ = now;
   return now - backlog_since_;
-}
-
-// ---------------------------------------------------------------- TaskGroup
-
-TaskGroup::TaskGroup(TaskScheduler* scheduler) : scheduler_(scheduler) {}
-
-TaskGroup::~TaskGroup() { Wait(); }
-
-TaskGroup::TaskId TaskGroup::Defer(std::function<void()> fn,
-                                   const std::string& label) {
-  assert(!launched_ && "Defer after Launch");
-  auto task = std::make_unique<Task>();
-  task->fn = std::move(fn);
-  task->group = this;
-  task->label = label;
-  tasks_.push_back(std::move(task));
-  return static_cast<TaskId>(tasks_.size()) - 1;
-}
-
-void TaskGroup::DependsOn(TaskId task, TaskId prerequisite) {
-  assert(!launched_ && "DependsOn after Launch");
-  assert(task != prerequisite);
-  tasks_[prerequisite]->successors.push_back(tasks_[task].get());
-  tasks_[task]->prerequisites += 1;
-  tasks_[task]->pending.fetch_add(1, std::memory_order_relaxed);
-}
-
-void TaskGroup::Launch() {
-  assert(!launched_ && "Launch called twice");
-  launched_ = true;
-  // Count everything before dispatching anything, or a fast worker could
-  // drive outstanding_ through zero while roots are still being enqueued.
-  outstanding_.fetch_add(static_cast<int64_t>(tasks_.size()),
-                         std::memory_order_acq_rel);
-  for (const auto& task : tasks_) {
-    // Roots by *static* in-degree. Reading the live pending counter here
-    // would race already-dispatched predecessors driving a successor's
-    // count to zero mid-loop and dispatch that task twice.
-    if (task->prerequisites == 0) {
-      Dispatch(task.get());
-    }
-  }
-}
-
-void TaskGroup::Run(std::function<void()> fn, const std::string& label) {
-  auto task = std::make_unique<Task>();
-  task->fn = std::move(fn);
-  task->group = this;
-  task->label = label;
-  Task* raw = task.get();
-  {
-    MutexLock lock(done_mu_);
-    tasks_.push_back(std::move(task));
-  }
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
-  Dispatch(raw);
-}
-
-void TaskGroup::Dispatch(Task* task) {
-  if (scheduler_ == nullptr || !scheduler_->Enqueue(task)) {
-    PushInline(task);
-  }
-}
-
-void TaskGroup::PushInline(Task* task) {
-  MutexLock lock(done_mu_);
-  inline_ready_.push_back(task);
-  done_cv_.notify_all();
-}
-
-TaskGroup::Task* TaskGroup::PopInline() {
-  MutexLock lock(done_mu_);
-  if (inline_ready_.empty()) return nullptr;
-  Task* task = inline_ready_.front();
-  inline_ready_.pop_front();
-  return task;
-}
-
-void TaskGroup::ExecuteInline(Task* task) {
-  task->fn();
-  for (Task* successor : task->successors) {
-    if (successor->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      Dispatch(successor);
-    }
-  }
-  OnTaskFinished();
-}
-
-void TaskGroup::OnTaskFinished() {
-  // The decrement happens under done_mu_ and Wait only *returns* while
-  // holding done_mu_ after observing zero — so a waiter that sees the group
-  // finished also knows this (last) finisher has released the mutex and
-  // will never touch the group again. Without that pairing, Wait could
-  // return (and the group be destroyed) while the finisher is still inside
-  // the notify, a use-after-free on done_mu_.
-  MutexLock lock(done_mu_);
-  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    done_cv_.notify_all();
-  }
-}
-
-void TaskGroup::Wait() {
-  for (;;) {
-    if (outstanding_.load(std::memory_order_acquire) == 0) {
-      // Lock-synchronized re-check; see OnTaskFinished.
-      MutexLock lock(done_mu_);
-      if (outstanding_.load(std::memory_order_acquire) == 0) return;
-      continue;
-    }
-    // Help: our own refused/inline tasks first (they exist nowhere else),
-    // then anything runnable in the scheduler — possibly tasks of an
-    // unrelated group. This is why scheduler tasks must not block
-    // indefinitely (the substrate contract, see the class comment): a
-    // helper runs whatever it acquires, and a task that parks forever
-    // would wedge the waiter with it.
-    Task* task = PopInline();
-    if (task != nullptr) {
-      if (scheduler_ != nullptr) {
-        scheduler_->Execute(task, scheduler_->CurrentWorkerIndex());
-      } else {
-        ExecuteInline(task);
-      }
-      continue;
-    }
-    if (scheduler_ != nullptr) {
-      task = scheduler_->TryAcquire(scheduler_->CurrentWorkerIndex());
-      if (task != nullptr) {
-        scheduler_->Execute(task, scheduler_->CurrentWorkerIndex());
-        continue;
-      }
-    }
-    MutexLock lock(done_mu_);
-    if (outstanding_.load(std::memory_order_acquire) == 0) return;
-    if (!inline_ready_.empty()) continue;
-    // Short timed wait: our remaining tasks are running on workers (or
-    // queued behind other groups' work we cannot see from here) — re-poll
-    // rather than risk a missed notify during heavy churn.
-    done_cv_.wait_for(done_mu_, std::chrono::milliseconds(1));
-  }
-}
-
-// -------------------------------------------------------------- ParallelFor
-
-void ParallelFor(TaskScheduler* scheduler, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (scheduler == nullptr || n == 1 || scheduler->worker_count() == 0) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // Indices are claimed from one shared counter by the helpers and the
-  // caller, so results depend only on the index each claim returns — writes
-  // keyed by index are bit-identical to a serial run no matter how the
-  // claims interleave. The caller always drains too: even with zero helpers
-  // running (workers busy, or scheduler shut down and every helper refused
-  // onto the inline list), the loop completes on this thread.
-  std::atomic<size_t> next{0};
-  auto drain = [&next, &fn, n] {
-    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i);
-    }
-  };
-  const size_t helpers =
-      std::min<size_t>(static_cast<size_t>(scheduler->worker_count()), n - 1);
-  TaskGroup group(scheduler);
-  for (size_t h = 0; h < helpers; ++h) group.Run(drain);
-  drain();
-  group.Wait();
 }
 
 }  // namespace ires

@@ -2,7 +2,7 @@
 // lock-order registry (inversion / recursive / upgrade death tests, the
 // blessed cross-subsystem chain), condition-variable integration, and
 // regression coverage for the concurrency bugs the thread-safety sweep
-// fixed (operator-library move assignment, pooled provisioner advise,
+// fixed (operator-library move assignment, concurrent provisioner advise,
 // logger sink swaps, REST workflow-store races).
 
 #include "common/mutex.h"
@@ -21,7 +21,6 @@
 #include "engines/standard_engines.h"
 #include "operators/operator_library.h"
 #include "provisioning/resource_provisioner.h"
-#include "threading/task_scheduler.h"
 
 namespace ires {
 namespace {
@@ -272,15 +271,11 @@ TEST(SweepRegressionTest, OperatorLibraryMoveAssignUnderRankChecks) {
   EXPECT_EQ(HeldCount(), 0);
 }
 
-/// Advise used to hold the provisioner mutex across the pooled GA run —
-/// a ranked lock held through TaskGroup::Wait, where caller-helps waiting
-/// executes arbitrary unrelated tasks. The GA now runs on locals; with the
-/// registry live, concurrent pooled Advise calls must pass cleanly.
-TEST(SweepRegressionTest, ProvisionerPooledAdviseUnderRankChecks) {
+/// Advise runs the GA on call-local state and takes the provisioner mutex
+/// only to publish the front; with the registry live, concurrent Advise
+/// calls (one per job worker in the serving stack) must pass cleanly.
+TEST(SweepRegressionTest, ProvisionerConcurrentAdviseUnderRankChecks) {
   ScopedChecksForTest checks(true);
-  TaskScheduler::Options sched_options;
-  sched_options.workers = 2;
-  TaskScheduler scheduler(sched_options);
 
   std::unique_ptr<EngineRegistry> registry = MakeStandardEngineRegistry();
   const SimulatedEngine* spark = registry->Find("Spark");
@@ -290,7 +285,6 @@ TEST(SweepRegressionTest, ProvisionerPooledAdviseUnderRankChecks) {
   Nsga2::Options ga;
   ga.population = 12;
   ga.generations = 6;
-  ga.scheduler = &scheduler;
   NsgaResourceProvisioner provisioner(limits, ga);
 
   OperatorRunRequest request;
@@ -310,7 +304,6 @@ TEST(SweepRegressionTest, ProvisionerPooledAdviseUnderRankChecks) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_FALSE(provisioner.last_front().empty());
-  scheduler.Shutdown();
 }
 
 /// Logger sink swaps race logging from worker threads; both paths now go

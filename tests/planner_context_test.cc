@@ -1,7 +1,7 @@
 // PlannerContext: memoized candidate resolution, invalidation on library /
 // engine-registry version bumps, snapshot safety across RemoveByEngine,
-// concurrency (exercised under TSan in CI), parallel-planner determinism,
-// and the deep-chain reconstruction regression.
+// concurrency (exercised under TSan in CI) and the deep-chain
+// reconstruction regression.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +14,6 @@
 #include "planner/dp_planner.h"
 #include "planner/pareto_planner.h"
 #include "planner/planner_context.h"
-#include "provisioning/nsga2.h"
-#include "threading/task_scheduler.h"
 #include "workloadgen/pegasus.h"
 
 namespace ires {
@@ -222,80 +220,6 @@ TEST(PlannerContextTest, ConcurrentRegisterAndPlanStaysConsistent) {
   mutator.join();
   for (std::thread& t : planners) t.join();
   EXPECT_GT(planned.load(), 0);
-}
-
-// ---- Determinism of the parallel paths. ------------------------------------
-
-void ExpectPlansIdentical(const ExecutionPlan& a, const ExecutionPlan& b) {
-  EXPECT_EQ(a.ToString(), b.ToString());
-  ASSERT_EQ(a.steps.size(), b.steps.size());
-  for (size_t i = 0; i < a.steps.size(); ++i) {
-    EXPECT_EQ(a.steps[i].deps, b.steps[i].deps);
-    EXPECT_EQ(a.steps[i].params, b.steps[i].params);
-    EXPECT_EQ(a.steps[i].estimated_seconds, b.steps[i].estimated_seconds);
-    EXPECT_EQ(a.steps[i].estimated_cost, b.steps[i].estimated_cost);
-  }
-  EXPECT_EQ(a.estimated_seconds, b.estimated_seconds);
-  EXPECT_EQ(a.estimated_cost, b.estimated_cost);
-  EXPECT_EQ(a.metric, b.metric);
-}
-
-TEST(PlannerContextTest, ParetoParallelMatchesSerialBitForBit) {
-  GeneratedWorkload w = MakeWorkload(32, 6);
-  EngineRegistry registry;
-  PegasusGenerator::RegisterSyntheticEngines(&registry, 6);
-  TaskScheduler scheduler(4);
-
-  ParetoPlanner planner(&w.library, &registry);
-  ParetoPlanner::Options serial;
-  ParetoPlanner::Options parallel;
-  parallel.scheduler = &scheduler;
-
-  auto serial_frontier = planner.PlanFrontier(w.graph, serial);
-  auto parallel_frontier = planner.PlanFrontier(w.graph, parallel);
-  ASSERT_TRUE(serial_frontier.ok()) << serial_frontier.status();
-  ASSERT_TRUE(parallel_frontier.ok()) << parallel_frontier.status();
-
-  ASSERT_EQ(serial_frontier.value().size(), parallel_frontier.value().size());
-  for (size_t i = 0; i < serial_frontier.value().size(); ++i) {
-    const auto& s = serial_frontier.value()[i];
-    const auto& p = parallel_frontier.value()[i];
-    EXPECT_EQ(s.seconds, p.seconds);
-    EXPECT_EQ(s.cost, p.cost);
-    ExpectPlansIdentical(s.plan, p.plan);
-  }
-}
-
-TEST(PlannerContextTest, NsgaParallelMatchesSerialBitForBit) {
-  TaskScheduler scheduler(4);
-  const std::vector<std::pair<double, double>> bounds = {
-      {1.0, 8.0}, {1.0, 4.0}, {0.5, 6.0}};
-  const Nsga2::Evaluate evaluate = [](const Vector& genes) {
-    // Two smooth competing objectives over the box.
-    const double a = genes[0] * genes[1] + genes[2];
-    const double b = (8.0 - genes[0]) + genes[2] * genes[1];
-    return Vector{a, b};
-  };
-
-  Nsga2::Options serial_options;
-  serial_options.population = 24;
-  serial_options.generations = 20;
-  Nsga2::Options parallel_options = serial_options;
-  parallel_options.scheduler = &scheduler;
-
-  const auto serial_front = Nsga2(serial_options).Optimize(bounds, evaluate);
-  const auto parallel_front =
-      Nsga2(parallel_options).Optimize(bounds, evaluate);
-  ASSERT_EQ(serial_front.size(), parallel_front.size());
-  for (size_t i = 0; i < serial_front.size(); ++i) {
-    ASSERT_EQ(serial_front[i].genes.size(), parallel_front[i].genes.size());
-    for (size_t g = 0; g < serial_front[i].genes.size(); ++g) {
-      EXPECT_EQ(serial_front[i].genes[g], parallel_front[i].genes[g]);
-    }
-    for (size_t m = 0; m < serial_front[i].objectives.size(); ++m) {
-      EXPECT_EQ(serial_front[i].objectives[m], parallel_front[i].objectives[m]);
-    }
-  }
 }
 
 // ---- Deep-chain regression: reconstruction must not recurse. ---------------

@@ -262,7 +262,7 @@ TEST_F(RestApiTest, HealthzReportsQueueState) {
 
 // Sustained scheduler backlog (measured on an injected fake clock) must
 // degrade the health probe without failing it: the replica is falling
-// behind on the shared execution substrate but can still serve.
+// behind on the shared job pool but can still serve.
 TEST(RestApiSchedulerHealthTest, SustainedBacklogDegradesHealthz) {
   std::atomic<double> now{50.0};
   IresServer::Config config;
@@ -276,7 +276,7 @@ TEST(RestApiSchedulerHealthTest, SustainedBacklogDegradesHealthz) {
   TaskScheduler& sched = server.scheduler();
   ASSERT_TRUE(sched.Submit([released] { released.wait(); }));
   // Let the single worker pick the blocker up, then queue pure backlog
-  // above workers * backlog_per_worker (1 * 4).
+  // above workers * TaskScheduler::kBacklogPerWorker (1 * 4).
   while (sched.pending() != 0) std::this_thread::yield();
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(sched.Submit([released] { released.wait(); }));

@@ -1,213 +1,140 @@
-// TaskScheduler suite — the shared work-stealing execution substrate. CI
-// runs this binary under ThreadSanitizer: the Chase-Lev deques, the parking
-// protocol and the TaskGroup wait path are exactly the kind of code whose
-// bugs only surface as races. Covers: an 8-worker steal storm, dependency
-// ordering (diamond + a 4000-node chain), help-while-wait reentrancy,
-// deterministic shutdown with pending tasks, the fake-clock backlog timer,
-// and bit-identity of ParallelFor-backed NSGA-II / ParetoPlanner results
-// against their serial paths.
+// TaskScheduler suite — the shared job pool: a fixed set of workers over one
+// mutex-guarded FIFO. CI runs this binary under ThreadSanitizer. Covers the
+// contract the serving stack relies on: every task runs exactly once under
+// concurrent external and nested submitters (a finishing job dispatches the
+// next one from inside its task), deterministic shutdown, the fake-clock
+// backlog timer behind /apiv1/healthz, metric and task-span accounting, and
+// that a task blocked on a gate holds only its own worker.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstddef>
+#include <chrono>
 #include <functional>
 #include <future>
+#include <memory>
+#include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "planner/pareto_planner.h"
-#include "provisioning/nsga2.h"
 #include "telemetry/event_journal.h"
 #include "telemetry/metrics_registry.h"
 #include "threading/task_scheduler.h"
-#include "workloadgen/pegasus.h"
 
 namespace ires {
 namespace {
 
-// ----------------------------------------------------------- steal storm
+// Spins (yielding) until `done` reaches `target` or ~10 s pass.
+bool WaitFor(const std::atomic<int>& done, int target) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (done.load() < target) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
 
-// Recursive binary fan-out driven entirely from worker threads: every task
-// spawns two children onto its own worker's deque, so the only way the
-// other workers get work is by stealing. The whole storm runs inside one
-// submitted driver task (spawns from external threads would route through
-// the injection queue, which workers drain without stealing), and the main
-// thread waits on a future instead of helping for the same reason. Leaves
-// burn a few microseconds each so the storm outlives worker wake-up
-// latency and thieves get a real window.
-TEST(TaskSchedulerTest, StealStormRunsEveryLeafExactlyOnce) {
+uint64_t TaskCounter(MetricsRegistry& metrics, const char* event) {
+  return metrics
+      .GetCounter("ires_sched_tasks_total", "Scheduler task lifecycle",
+                  {{"event", event}})
+      ->Value();
+}
+
+// ------------------------------------------------------------ exactly once
+
+// Eight external threads submit concurrently, and every task submits its
+// successor from inside its own run (depth 0 -> 1 -> 2), the way a job that
+// finishes dispatches the next queued one.
+TEST(TaskSchedulerTest, EveryTaskRunsOnceWithExternalAndNestedSubmitters) {
+  constexpr int kSubmitters = 8;
+  constexpr int kPerSubmitter = 200;
+  constexpr int kDepth = 3;
+  constexpr int kTotal = kSubmitters * kPerSubmitter * kDepth;
   MetricsRegistry metrics;
-  TaskScheduler scheduler(8, &metrics);
-  std::atomic<int> leaves{0};
-  std::atomic<uint64_t> sink{0};
-  std::promise<void> storm_done;
+  TaskScheduler scheduler(metrics, {.workers = 4});
+  std::vector<std::atomic<int>> runs(kTotal);
+  std::atomic<int> done{0};
 
-  ASSERT_TRUE(scheduler.Submit([&] {
-    TaskGroup group(&scheduler);
-    std::function<void(int)> spawn = [&](int depth) {
-      if (depth == 0) {
-        uint64_t acc = 1469598103934665603ull;
-        for (int i = 0; i < 2000; ++i) acc = (acc ^ i) * 1099511628211ull;
-        sink.fetch_add(acc, std::memory_order_relaxed);
-        leaves.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      group.Run([&spawn, depth] { spawn(depth - 1); });
-      group.Run([&spawn, depth] { spawn(depth - 1); });
-    };
-    spawn(12);
-    group.Wait();  // nested wait on a worker: helps from its own deque
-    storm_done.set_value();
-  }));
-  storm_done.get_future().wait();
-
-  EXPECT_EQ(leaves.load(), 1 << 12);
-  const TaskScheduler::Stats stats = scheduler.stats();
-  EXPECT_EQ(stats.rejected, 0u);
-  // 8190 tree tasks across 8 workers, all pushed onto the spawners' own
-  // deques: the storm cannot complete without steals migrating the work.
-  EXPECT_GT(stats.steals, 0u);
-}
-
-// --------------------------------------------------------- dependency DAG
-
-TEST(TaskSchedulerTest, DiamondDependenciesRunInTopologicalOrder) {
-  TaskScheduler scheduler(4);
-  TaskGroup group(&scheduler);
-  std::atomic<int> stage{0};
-  std::atomic<bool> order_ok{true};
-
-  const TaskGroup::TaskId a = group.Defer([&] {
-    if (stage.fetch_add(1) != 0) order_ok = false;
-  });
-  const TaskGroup::TaskId b = group.Defer([&] {
-    const int s = stage.fetch_add(1);
-    if (s != 1 && s != 2) order_ok = false;
-  });
-  const TaskGroup::TaskId c = group.Defer([&] {
-    const int s = stage.fetch_add(1);
-    if (s != 1 && s != 2) order_ok = false;
-  });
-  const TaskGroup::TaskId d = group.Defer([&] {
-    if (stage.fetch_add(1) != 3) order_ok = false;
-  });
-  group.DependsOn(b, a);
-  group.DependsOn(c, a);
-  group.DependsOn(d, b);
-  group.DependsOn(d, c);
-  group.Launch();
-  group.Wait();
-
-  EXPECT_EQ(stage.load(), 4);
-  EXPECT_TRUE(order_ok.load());
-}
-
-// A 4000-node chain has exactly one runnable task at any moment; it must
-// complete in order without unbounded stack growth (successor dispatch is
-// queued, never recursed) — on the scheduler and on the inline fallback.
-void RunChain(TaskScheduler* scheduler) {
-  constexpr int kNodes = 4000;
-  TaskGroup group(scheduler);
-  std::atomic<int> next_expected{0};
-  std::atomic<bool> order_ok{true};
-  std::vector<TaskGroup::TaskId> ids;
-  ids.reserve(kNodes);
-  for (int i = 0; i < kNodes; ++i) {
-    ids.push_back(group.Defer([&next_expected, &order_ok, i] {
-      if (next_expected.fetch_add(1) != i) order_ok = false;
-    }));
-    if (i > 0) group.DependsOn(ids[i], ids[i - 1]);
-  }
-  group.Launch();
-  group.Wait();
-  EXPECT_EQ(next_expected.load(), kNodes);
-  EXPECT_TRUE(order_ok.load());
-}
-
-TEST(TaskSchedulerTest, FourThousandNodeChainRunsInOrder) {
-  TaskScheduler scheduler(8);
-  RunChain(&scheduler);
-}
-
-TEST(TaskSchedulerTest, FourThousandNodeChainRunsInlineWithoutScheduler) {
-  RunChain(nullptr);
-}
-
-// ------------------------------------------------------- help-while-wait
-
-// With the single worker wedged on a latch, a Wait() from the external
-// thread must help-execute the group's tasks itself instead of sleeping —
-// caller-blocks would deadlock here.
-TEST(TaskSchedulerTest, ExternalWaiterHelpsWhenWorkersAreBusy) {
-  TaskScheduler scheduler(1);
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  ASSERT_TRUE(scheduler.Submit([released] { released.wait(); }));
-  // Let the worker pick the blocker up before queueing group work: a helper
-  // runs whatever it acquires, so if the blocker were still queued the
-  // waiting thread could wedge itself on it instead.
-  while (scheduler.pending() != 0) std::this_thread::yield();
-
-  std::atomic<int> ran{0};
-  TaskGroup group(&scheduler);
-  for (int i = 0; i < 64; ++i) {
-    group.Run([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  group.Wait();  // must not block on the wedged worker
-  EXPECT_EQ(ran.load(), 64);
-  release.set_value();
-}
-
-// A task that itself creates a group and waits on it (nested wait on a
-// worker thread) must help-execute too; with one worker this would
-// otherwise self-deadlock.
-TEST(TaskSchedulerTest, NestedWaitInsideWorkerTaskCompletes) {
-  TaskScheduler scheduler(1);
-  std::atomic<int> inner_ran{0};
-  TaskGroup outer(&scheduler);
-  outer.Run([&] {
-    TaskGroup inner(&scheduler);
-    for (int i = 0; i < 16; ++i) {
-      inner.Run([&inner_ran] { inner_ran.fetch_add(1); });
+  // Runs slot `base + depth`, then submits depth + 1 from the worker.
+  std::function<void(int, int)> step = [&](int base, int depth) {
+    runs[base + depth].fetch_add(1);
+    if (depth + 1 < kDepth) {
+      EXPECT_TRUE(scheduler.Submit([&, base, depth] { step(base, depth + 1); }));
     }
-    inner.Wait();
-  });
-  outer.Wait();
-  EXPECT_EQ(inner_ran.load(), 16);
+    done.fetch_add(1);
+  };
+
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        const int base = (t * kPerSubmitter + i) * kDepth;
+        EXPECT_TRUE(scheduler.Submit([&, base] { step(base, 0); }));
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  ASSERT_TRUE(WaitFor(done, kTotal));
+  scheduler.Shutdown();
+
+  for (int i = 0; i < kTotal; ++i) {
+    ASSERT_EQ(runs[i].load(), 1) << "slot " << i;
+  }
+  EXPECT_EQ(TaskCounter(metrics, "executed"), static_cast<uint64_t>(kTotal));
 }
 
 // ----------------------------------------------------------------- shutdown
 
+// Submitters race Shutdown: each keeps submitting until its first refusal,
+// then checks the refusal is sticky. Every accepted task must have run by
+// the time Shutdown returns, and every refusal is counted and journaled.
 TEST(TaskSchedulerTest, ShutdownDrainsAcceptedTasksAndRejectsLater) {
+  constexpr int kSubmitters = 4;
+  MetricsRegistry metrics;
   EventJournal journal;
-  TaskScheduler::Options options;
-  options.workers = 4;
-  options.journal = &journal;
-  TaskScheduler scheduler(std::move(options));
+  TaskScheduler scheduler(metrics, {.workers = 4, .journal = &journal});
 
   std::atomic<int> ran{0};
-  int accepted = 0;
-  for (int i = 0; i < 500; ++i) {
-    if (scheduler.Submit([&ran] { ran.fetch_add(1); })) ++accepted;
+  std::atomic<int> accepted{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      while (scheduler.Submit([&ran] { ran.fetch_add(1); })) {
+        accepted.fetch_add(1);
+      }
+      EXPECT_FALSE(scheduler.Submit([&ran] { ran.fetch_add(1); }));
+    });
   }
+  go.store(true);
+  while (accepted.load() < 1000) std::this_thread::yield();
   scheduler.Shutdown();
+  for (std::thread& t : submitters) t.join();
 
   // Every accepted task ran before the workers joined; nothing was dropped.
-  EXPECT_EQ(ran.load(), accepted);
-  EXPECT_EQ(scheduler.stats().executed, static_cast<uint64_t>(accepted));
+  EXPECT_EQ(ran.load(), accepted.load());
+  EXPECT_EQ(TaskCounter(metrics, "submitted"),
+            static_cast<uint64_t>(accepted.load()));
+  EXPECT_EQ(TaskCounter(metrics, "executed"),
+            static_cast<uint64_t>(accepted.load()));
 
-  // Post-shutdown submission: deterministic false + a task_rejected event.
+  // A labelled post-shutdown submission: deterministic false + an event.
   EXPECT_FALSE(scheduler.Submit([&ran] { ran.fetch_add(1); }, "late.task"));
-  EXPECT_EQ(ran.load(), accepted);
+  EXPECT_EQ(ran.load(), accepted.load());
+  constexpr int kRejected = 2 * kSubmitters + 1;
+  EXPECT_EQ(TaskCounter(metrics, "rejected"), static_cast<uint64_t>(kRejected));
   EventJournal::Filter filter;
   filter.has_kind = true;
   filter.kind = EventKind::kTaskRejected;
   const std::vector<JournalEvent> rejected = journal.Query(filter);
-  ASSERT_EQ(rejected.size(), 1u);
-  EXPECT_EQ(rejected[0].code, "shutdown");
-  EXPECT_EQ(rejected[0].detail, "late.task");
+  ASSERT_EQ(rejected.size(), static_cast<size_t>(kRejected));
+  for (const JournalEvent& event : rejected) EXPECT_EQ(event.code, "shutdown");
+  int late = 0;
+  for (const JournalEvent& event : rejected) late += event.detail == "late.task";
+  EXPECT_EQ(late, 1);
 }
 
 // ------------------------------------------------------- backlog fake clock
@@ -217,20 +144,19 @@ TEST(TaskSchedulerTest, BacklogSecondsTracksSustainedDepthOnFakeClock) {
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
 
-  TaskScheduler::Options options;
-  options.workers = 1;
-  options.backlog_per_worker = 2;
-  options.clock = [&now] { return now.load(); };
-  TaskScheduler scheduler(std::move(options));
+  MetricsRegistry metrics;
+  TaskScheduler scheduler(
+      metrics, {.workers = 1, .clock = [&now] { return now.load(); }});
 
   ASSERT_TRUE(scheduler.Submit([released] { released.wait(); }));
   // Wait until the worker has picked the blocker up, so the queued tasks
   // below are pure backlog.
   while (scheduler.pending() != 0) std::this_thread::yield();
-  for (int i = 0; i < 5; ++i) {
+  constexpr size_t kQueued = TaskScheduler::kBacklogPerWorker + 2;
+  for (size_t i = 0; i < kQueued; ++i) {
     ASSERT_TRUE(scheduler.Submit([released] { released.wait(); }));
   }
-  ASSERT_GT(scheduler.pending(), 2u);  // above workers * backlog_per_worker
+  ASSERT_EQ(scheduler.pending(), kQueued);  // above 1 * kBacklogPerWorker
 
   EXPECT_EQ(scheduler.BacklogSeconds(), 0.0);  // arms the timer
   now.store(103.5);
@@ -241,99 +167,68 @@ TEST(TaskSchedulerTest, BacklogSecondsTracksSustainedDepthOnFakeClock) {
   EXPECT_EQ(scheduler.BacklogSeconds(), 0.0);  // drained => disarmed
 }
 
-// ------------------------------------------------ ParallelFor bit-identity
+// ----------------------------------------------------------- blocked worker
 
-TEST(TaskSchedulerTest, ParallelForMatchesSerialLoopBitForBit) {
-  TaskScheduler scheduler(8);
-  constexpr size_t kN = 10000;
-  std::vector<double> serial(kN), parallel(kN);
-  const auto body = [](size_t i) {
-    double x = static_cast<double>(i) * 1.000000059604644775390625;
-    for (int r = 0; r < 8; ++r) x = x * 0.75 + static_cast<double>(i % 7);
-    return x;
-  };
-  for (size_t i = 0; i < kN; ++i) serial[i] = body(i);
-  ParallelFor(&scheduler, kN, [&](size_t i) { parallel[i] = body(i); });
-  EXPECT_EQ(serial, parallel);
-}
+// A task parked on a gate holds only its own worker: the rest of the pool
+// keeps draining the queue behind it.
+TEST(TaskSchedulerTest, TaskBlockedOnGateDoesNotStopOtherWorkers) {
+  MetricsRegistry metrics;
+  TaskScheduler scheduler(metrics, {.workers = 2});
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<bool> blocked_started{false};
+  ASSERT_TRUE(scheduler.Submit([&blocked_started, opened] {
+    blocked_started.store(true);
+    opened.wait();
+  }));
+  while (!blocked_started.load()) std::this_thread::yield();
 
-// NSGA-II with the scheduler must reproduce the serial front exactly: the
-// parallel section only evaluates objectives into index-keyed slots.
-TEST(TaskSchedulerTest, Nsga2ParallelFrontIsBitIdenticalToSerial) {
-  TaskScheduler scheduler(4);
-  const std::vector<std::pair<double, double>> bounds = {
-      {1.0, 8.0}, {1.0, 4.0}, {0.5, 6.0}};
-  const Nsga2::Evaluate evaluate = [](const Vector& genes) {
-    const double a = genes[0] * genes[1] + genes[2];
-    const double b = (8.0 - genes[0]) + genes[2] * genes[1];
-    return Vector{a, b};
-  };
-  Nsga2::Options serial_options;
-  serial_options.population = 20;
-  serial_options.generations = 12;
-  Nsga2::Options parallel_options = serial_options;
-  parallel_options.scheduler = &scheduler;
-
-  const auto serial_front = Nsga2(serial_options).Optimize(bounds, evaluate);
-  const auto parallel_front =
-      Nsga2(parallel_options).Optimize(bounds, evaluate);
-  ASSERT_EQ(serial_front.size(), parallel_front.size());
-  for (size_t i = 0; i < serial_front.size(); ++i) {
-    EXPECT_EQ(serial_front[i].genes, parallel_front[i].genes);
-    EXPECT_EQ(serial_front[i].objectives, parallel_front[i].objectives);
+  constexpr int kTasks = 100;
+  std::atomic<int> done{0};
+  for (int i = 0; i < kTasks; ++i) {
+    ASSERT_TRUE(scheduler.Submit([&done] { done.fetch_add(1); }));
   }
-}
-
-// ParetoPlanner's parallel phase stages per-candidate results and merges in
-// candidate order, so the frontier must match the serial planner exactly.
-TEST(TaskSchedulerTest, ParetoPlannerParallelFrontierIsBitIdentical) {
-  PegasusGenerator gen(7);
-  GeneratedWorkload w = gen.Generate(PegasusType::kEpigenomics, 16, 4);
-  EngineRegistry registry;
-  PegasusGenerator::RegisterSyntheticEngines(&registry, 4);
-  TaskScheduler scheduler(4);
-
-  ParetoPlanner planner(&w.library, &registry);
-  ParetoPlanner::Options serial;
-  ParetoPlanner::Options parallel;
-  parallel.scheduler = &scheduler;
-
-  auto serial_frontier = planner.PlanFrontier(w.graph, serial);
-  auto parallel_frontier = planner.PlanFrontier(w.graph, parallel);
-  ASSERT_TRUE(serial_frontier.ok()) << serial_frontier.status();
-  ASSERT_TRUE(parallel_frontier.ok()) << parallel_frontier.status();
-  ASSERT_EQ(serial_frontier.value().size(), parallel_frontier.value().size());
-  for (size_t i = 0; i < serial_frontier.value().size(); ++i) {
-    const auto& s = serial_frontier.value()[i];
-    const auto& p = parallel_frontier.value()[i];
-    EXPECT_EQ(s.seconds, p.seconds);
-    EXPECT_EQ(s.cost, p.cost);
-    ASSERT_EQ(s.plan.steps.size(), p.plan.steps.size());
-    for (size_t j = 0; j < s.plan.steps.size(); ++j) {
-      EXPECT_EQ(s.plan.steps[j].name, p.plan.steps[j].name);
-      EXPECT_EQ(s.plan.steps[j].engine, p.plan.steps[j].engine);
-      EXPECT_EQ(s.plan.steps[j].estimated_seconds,
-                p.plan.steps[j].estimated_seconds);
-    }
-  }
+  EXPECT_TRUE(WaitFor(done, kTasks));
+  EXPECT_EQ(opened.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);  // still blocked throughout
+  gate.set_value();
+  scheduler.Shutdown();
+  EXPECT_EQ(done.load(), kTasks);
 }
 
 // --------------------------------------------------------------- telemetry
 
-TEST(TaskSchedulerTest, StatsAndMetricsAccountForEveryTask) {
+TEST(TaskSchedulerTest, MetricsAccountForEveryTask) {
+  constexpr int kWorkers = 4;
   MetricsRegistry metrics;
-  TaskScheduler scheduler(4, &metrics);
+  EventJournal journal;
+  TaskScheduler scheduler(metrics, {.workers = kWorkers, .journal = &journal});
   std::atomic<int> ran{0};
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(scheduler.Submit([&ran] { ran.fetch_add(1); }));
+    // Only labelled tasks emit a flight-recorder span.
+    const std::string label = i == 0 ? "probe.task" : "";
+    ASSERT_TRUE(scheduler.Submit([&ran] { ran.fetch_add(1); }, label));
   }
   scheduler.Shutdown();
+  EXPECT_EQ(ran.load(), 200);
+  EventJournal::Filter spans;
+  spans.has_kind = true;
+  spans.kind = EventKind::kTaskSpan;
+  const std::vector<JournalEvent> span_events = journal.Query(spans);
+  ASSERT_EQ(span_events.size(), 1u);
+  EXPECT_EQ(span_events[0].detail, "probe.task");
 
-  const TaskScheduler::Stats stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, 200u);
-  EXPECT_EQ(stats.executed, 200u);
+  EXPECT_EQ(TaskCounter(metrics, "submitted"), 200u);
+  EXPECT_EQ(TaskCounter(metrics, "executed"), 200u);
+  EXPECT_EQ(TaskCounter(metrics, "rejected"), 0u);
   uint64_t runs = 0;
-  for (uint64_t w : stats.worker_runs) runs += w;
+  for (int w = 0; w < kWorkers; ++w) {
+    runs += metrics
+                .GetCounter("ires_sched_worker_runs_total",
+                            "Tasks executed, per worker",
+                            {{"worker", std::to_string(w)}})
+                ->Value();
+  }
   EXPECT_EQ(runs, 200u);
 
   const std::string text = metrics.RenderPrometheus();
@@ -345,6 +240,8 @@ TEST(TaskSchedulerTest, StatsAndMetricsAccountForEveryTask) {
       << text;
   EXPECT_NE(text.find("ires_sched_pending_tasks 0"), std::string::npos)
       << text;
+  EXPECT_NE(text.find("ires_sched_parks_total"), std::string::npos) << text;
+  EXPECT_EQ(text.find("ires_sched_steals_total"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -56,7 +56,8 @@ void RegisterLineCount(RestApi* api) {
 TEST(TaskSchedulerTest, RunsAllSubmittedTasks) {
   std::atomic<int> ran{0};
   {
-    TaskScheduler scheduler(4);
+    MetricsRegistry metrics;
+    TaskScheduler scheduler(metrics, {.workers = 4});
     for (int i = 0; i < 100; ++i) {
       ASSERT_TRUE(scheduler.Submit([&ran] { ran.fetch_add(1); }));
     }
@@ -65,7 +66,8 @@ TEST(TaskSchedulerTest, RunsAllSubmittedTasks) {
 }
 
 TEST(TaskSchedulerTest, RejectsAfterShutdown) {
-  TaskScheduler scheduler(2);
+  MetricsRegistry metrics;
+  TaskScheduler scheduler(metrics, {.workers = 2});
   scheduler.Shutdown();
   EXPECT_FALSE(scheduler.Submit([] {}));
 }
