@@ -154,7 +154,10 @@ int main(int argc, char** argv) {
         [&] { return plane.Submit(workload.graph, request).ok(); },
         [&] { plane.WaitForIdle(300.0); });
     chaos.kills = plane.chaos()->counts().kills();
-    chaos.failovers = plane.failovers();
+    chaos.failovers =
+        server.metrics()
+            .GetCounter("ires_control_plane_failovers_total", "")
+            ->Value();
     for (const JobRecord& record : plane.List()) {
       if (record.resumed) ++chaos.resumed;
     }

@@ -72,7 +72,8 @@ ScenarioResult RunScenario(PegasusType type, int operators, int m,
 
   // Warm: one shared context across repeated plans of the same workflow —
   // the server's steady state. One untimed plan populates the index.
-  PlannerContext context(&w.library, &registry);
+  MetricsRegistry metrics;
+  PlannerContext context(&w.library, &registry, &metrics);
   DpPlanner planner(&w.library, &registry, &context);
   (void)planner.Plan(w.graph, options);
   const double warm_start = Now();
@@ -89,9 +90,12 @@ ScenarioResult RunScenario(PegasusType type, int operators, int m,
   result.cold_plans_per_sec = cold_iters / cold_elapsed;
   result.warm_plans_per_sec = warm_iters / warm_elapsed;
   result.warm_speedup = result.warm_plans_per_sec / result.cold_plans_per_sec;
-  const PlannerContext::Stats stats = context.stats();
-  result.cache_hits = stats.hits;
-  result.cache_misses = stats.misses;
+  result.cache_hits =
+      metrics.GetCounter("ires_planner_candidate_cache_hits_total", "")
+          ->Value();
+  result.cache_misses =
+      metrics.GetCounter("ires_planner_candidate_cache_misses_total", "")
+          ->Value();
   return result;
 }
 

@@ -22,6 +22,14 @@ const char* DagSizeBucket(size_t nodes) {
   return "17+";
 }
 
+Counter* RefitForcedCounter(MetricsRegistry& metrics,
+                            const std::string& engine) {
+  return metrics.GetCounter(
+      "ires_model_refit_forced_total",
+      "Forced exec-time refits triggered by drift flagging.",
+      {{"engine", engine}});
+}
+
 }  // namespace
 
 Result<OperatorRunEstimate> ModelBasedCostEstimator::Estimate(
@@ -66,7 +74,7 @@ const char* ArtifactKindName(ArtifactKind kind) {
 
 IresServer::IresServer(Config config)
     : config_(config),
-      drift_(DriftObservatory::Options(), &metrics_),
+      drift_(&metrics_),
       slo_(&metrics_) {
   TaskScheduler::Options sched_options;
   sched_options.workers = config.scheduler_workers;
@@ -78,6 +86,11 @@ IresServer::IresServer(Config config)
   engines_ = MakeStandardEngineRegistry();
   engines_->EnableMetrics(&metrics_);
   engines_->EnableJournal(&journal_);
+  // Every deployed engine's forced-refit count starts at zero, so the
+  // family is in /apiv1/metrics before the first drift flag.
+  for (const std::string& engine : engines_->Names()) {
+    RefitForcedCounter(metrics_, engine);
+  }
 
   // Default objectives over the normalized-route request metrics: latency
   // per workload class plus an API-wide availability target. The routes
@@ -119,8 +132,7 @@ IresServer::IresServer(Config config)
   ga.generations = 30;
   provisioner_ = std::make_unique<NsgaResourceProvisioner>(limits, ga);
   model_estimator_ = std::make_unique<ModelBasedCostEstimator>(&models_);
-  plan_cache_ =
-      std::make_unique<PlanCache>(config.plan_cache_capacity, &metrics_);
+  plan_cache_ = std::make_unique<PlanCache>(metrics_);
 }
 
 Status IresServer::RegisterArtifact(ArtifactKind kind,
@@ -426,11 +438,7 @@ void IresServer::ObserveDrift(const ExecutionPlan& plan,
       MutexLock lock(models->mu);
       (void)models->exec_time.Refit();
     }
-    metrics_
-        .GetCounter("ires_model_refit_forced_total",
-                    "Forced exec-time refits triggered by drift flagging.",
-                    {{"engine", step.engine}})
-        ->Increment();
+    RefitForcedCounter(metrics_, step.engine)->Increment();
   }
 }
 

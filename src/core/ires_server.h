@@ -80,8 +80,6 @@ class IresServer {
     bool use_refined_models = false;
     /// When set, NSGA-II provisions container resources per operator.
     bool provision_resources = false;
-    /// Capacity of the planner-level plan cache (0 disables caching).
-    size_t plan_cache_capacity = 128;
     /// Worker threads of the shared job pool: each runs one job at a time
     /// (planning, provisioning and simulated execution on that thread);
     /// <=0 uses the hardware concurrency.

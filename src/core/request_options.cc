@@ -129,6 +129,7 @@ Status ParseOptionsBody(const JsonValue& options, ParsedExecution* out) {
 Status ParseExecutionOptions(const std::string& query,
                              const JsonValue* options, ParsedExecution* out) {
   *out = ParsedExecution();
+  bool has_tenant = false;
   for (const std::string& pair :
        query.empty() ? std::vector<std::string>{} : SplitAndTrim(query, '&')) {
     const size_t eq = pair.find('=');
@@ -148,6 +149,7 @@ Status ParseExecutionOptions(const std::string& query,
         return Status::InvalidArgument("tenant must be non-empty");
       }
       out->tenant = value;
+      has_tenant = true;
     } else if (key == "idempotencyKey") {
       if (value.empty()) {
         return Status::InvalidArgument("idempotencyKey must be non-empty");
@@ -158,6 +160,12 @@ Status ParseExecutionOptions(const std::string& query,
     }
   }
   if (options != nullptr) IRES_RETURN_IF_ERROR(ParseOptionsBody(*options, out));
+  // A sync request runs on the caller's thread and never reaches the
+  // control plane, so a tenant's quota or a dedupe key would be ignored.
+  if (!out->async && (has_tenant || !out->idempotency_key.empty())) {
+    return Status::InvalidArgument(
+        "tenant and idempotencyKey need mode=async");
+  }
   return Status::OK();
 }
 

@@ -35,7 +35,9 @@ struct ParsedExecution {
 ///
 /// The query string carries only what routes or identifies a request,
 /// never what tunes it: `mode` (may also be given in the body), `tenant`
-/// and `idempotencyKey`. Every tuning knob lives in the body.
+/// and `idempotencyKey`. Every tuning knob lives in the body. `tenant` and
+/// `idempotencyKey` apply to control-plane admission only, so a sync
+/// request carrying either fails with InvalidArgument.
 ///
 /// Unknown query keys (including the flat tuning parameters of the
 /// pre-options API), unknown body sections/keys and out-of-range values

@@ -291,14 +291,14 @@ ApiResponse RestApi::Dispatch(const std::string& method,
 }
 
 ApiResponse RestApi::HandleHealthz() {
-  const JobService::Stats stats = plane_->AggregateStats();
   const ControlPlane::Health plane_health = plane_->health();
+  const size_t queued = plane_health.queue_depth;
   const size_t capacity = plane_health.queue_capacity;
   const double saturation =
       capacity == 0 ? 0.0
-                    : static_cast<double>(stats.queue_depth) /
+                    : static_cast<double>(queued) /
                           static_cast<double>(capacity);
-  const bool saturated = capacity > 0 && stats.queue_depth >= capacity;
+  const bool saturated = capacity > 0 && queued >= capacity;
   // Job-pool saturation: every replica dispatches onto the server's one
   // TaskScheduler, so its queue depth is the replica-wide backpressure
   // signal. A transient burst is normal; a backlog that *stays* above
@@ -327,8 +327,9 @@ ApiResponse RestApi::HandleHealthz() {
                 "\"saturation\":%.3f,"
                 "\"scheduler\":{\"pendingTasks\":%zu,\"workers\":%d,"
                 "\"backlogSeconds\":%.3f,\"backlogged\":%s},\"replicas\":[",
-                status, stats.queue_depth, capacity, stats.running,
-                stats.workers, saturation, sched_pending, sched.worker_count(),
+                status, queued, capacity, plane_health.running,
+                plane_health.workers, saturation, sched_pending,
+                sched.worker_count(),
                 backlog_seconds, sched_backlogged ? "true" : "false");
   std::string out = buf;
   for (size_t i = 0; i < plane_health.replicas.size(); ++i) {
@@ -755,7 +756,16 @@ ApiResponse RestApi::HandleJobs(const std::string& method,
 }
 
 ApiResponse RestApi::HandleStats() {
-  const JobService::Stats jobs = plane_->AggregateStats();
+  // Lifecycle counts are the replicas' shared `ires_jobs_total{event}`
+  // series; queue depth, running and workers come from the plane's health.
+  std::map<std::string, uint64_t> jobs;
+  server_->metrics().VisitCounters(
+      "ires_jobs_total", [&jobs](const LabelSet& labels, uint64_t value) {
+        for (const auto& [key, event] : labels) {
+          if (key == "event") jobs[event] = value;
+        }
+      });
+  const ControlPlane::Health plane = plane_->health();
   const PlanCache::Stats cache = server_->plan_cache().stats();
   char buf[512];
   std::snprintf(
@@ -765,12 +775,12 @@ ApiResponse RestApi::HandleStats() {
       "\"running\":%zu,\"workers\":%d},"
       "\"planCache\":{\"hits\":%llu,\"misses\":%llu,\"insertions\":%llu,"
       "\"evictions\":%llu,\"entries\":%zu}}",
-      static_cast<unsigned long long>(jobs.submitted),
-      static_cast<unsigned long long>(jobs.rejected),
-      static_cast<unsigned long long>(jobs.succeeded),
-      static_cast<unsigned long long>(jobs.failed),
-      static_cast<unsigned long long>(jobs.cancelled), jobs.queue_depth,
-      jobs.running, jobs.workers,
+      static_cast<unsigned long long>(jobs["submitted"]),
+      static_cast<unsigned long long>(jobs["rejected"]),
+      static_cast<unsigned long long>(jobs["succeeded"]),
+      static_cast<unsigned long long>(jobs["failed"]),
+      static_cast<unsigned long long>(jobs["cancelled"]), plane.queue_depth,
+      plane.running, plane.workers,
       static_cast<unsigned long long>(cache.hits),
       static_cast<unsigned long long>(cache.misses),
       static_cast<unsigned long long>(cache.insertions),

@@ -23,22 +23,8 @@ std::string FormatDouble(double value) {
 
 }  // namespace
 
-DriftObservatory::DriftObservatory() : DriftObservatory(Options()) {}
-
-DriftObservatory::DriftObservatory(Options options, MetricsRegistry* metrics)
-    : options_(std::move(options)), metrics_(metrics) {
-  if (options_.ewma_alpha <= 0.0 || options_.ewma_alpha > 1.0) {
-    options_.ewma_alpha = 0.2;
-  }
-  if (options_.residual_bounds.empty()) {
-    options_.residual_bounds = {0.01, 0.025, 0.05, 0.1, 0.25,
-                                0.5,  1.0,   2.5,  5.0};
-  }
-  std::sort(options_.residual_bounds.begin(), options_.residual_bounds.end());
-  if (options_.clear_threshold > options_.flag_threshold) {
-    options_.clear_threshold = options_.flag_threshold;
-  }
-}
+DriftObservatory::DriftObservatory(MetricsRegistry* metrics)
+    : metrics_(metrics) {}
 
 bool DriftObservatory::Observe(const std::string& op,
                                const std::string& engine,
@@ -54,43 +40,42 @@ bool DriftObservatory::Observe(const std::string& op,
     MutexLock lock(mu_);
     PairState& state = pairs_[{op, engine}];
     if (state.residual_counts.empty()) {
-      state.residual_counts.assign(options_.residual_bounds.size() + 1, 0);
+      state.residual_counts.assign(kResidualBounds.size() + 1, 0);
     }
     ++state.observations;
     state.sum_rel_error += rel;
     state.last_rel_error = rel;
     state.ewma = state.observations == 1
                      ? rel
-                     : options_.ewma_alpha * rel +
-                           (1.0 - options_.ewma_alpha) * state.ewma;
+                     : kEwmaAlpha * rel + (1.0 - kEwmaAlpha) * state.ewma;
 
-    size_t bucket = options_.residual_bounds.size();
-    for (size_t i = 0; i < options_.residual_bounds.size(); ++i) {
-      if (rel <= options_.residual_bounds[i]) {
+    size_t bucket = kResidualBounds.size();
+    for (size_t i = 0; i < kResidualBounds.size(); ++i) {
+      if (rel <= kResidualBounds[i]) {
         bucket = i;
         break;
       }
     }
     ++state.residual_counts[bucket];
 
-    if (!job_id.empty() && options_.max_exemplars > 0) {
+    if (!job_id.empty()) {
       state.exemplars.emplace_back(rel, job_id);
       std::sort(state.exemplars.begin(), state.exemplars.end(),
                 [](const auto& a, const auto& b) { return a.first > b.first; });
-      if (state.exemplars.size() > options_.max_exemplars) {
-        state.exemplars.resize(options_.max_exemplars);
+      if (state.exemplars.size() > kMaxExemplars) {
+        state.exemplars.resize(kMaxExemplars);
       }
     }
 
-    // Hysteresis: flag above flag_threshold, clear only below
-    // clear_threshold, and never flag before min_observations so a single
+    // Hysteresis: flag above kFlagThreshold, clear only below
+    // kClearThreshold, and never flag before kMinObservations so a single
     // noisy first sample can't trigger a refit storm.
     if (!state.flagged &&
-        state.observations >= options_.min_observations &&
-        state.ewma > options_.flag_threshold) {
+        state.observations >= kMinObservations &&
+        state.ewma > kFlagThreshold) {
       state.flagged = true;
       newly_flagged = true;
-    } else if (state.flagged && state.ewma < options_.clear_threshold) {
+    } else if (state.flagged && state.ewma < kClearThreshold) {
       state.flagged = false;
     }
     score = state.ewma;
@@ -102,7 +87,8 @@ bool DriftObservatory::Observe(const std::string& op,
         ->GetHistogram("ires_model_residual_relative_error",
                        "Relative error |predicted-actual|/actual of cost-model "
                        "estimates per executed step",
-                       {{"engine", engine}}, options_.residual_bounds)
+                       {{"engine", engine}},
+                       {kResidualBounds.begin(), kResidualBounds.end()})
         ->Observe(rel);
     metrics_
         ->GetGauge("ires_model_drift_score",
@@ -161,14 +147,14 @@ DriftObservatory::RefinementCandidates() const {
 std::string DriftObservatory::ToJson() const {
   const std::vector<PairSnapshot> pairs = Snapshot();
   std::string out = "{";
-  out += "\"ewmaAlpha\":" + FormatDouble(options_.ewma_alpha);
-  out += ",\"flagThreshold\":" + FormatDouble(options_.flag_threshold);
-  out += ",\"clearThreshold\":" + FormatDouble(options_.clear_threshold);
-  out += ",\"minObservations\":" + std::to_string(options_.min_observations);
+  out += "\"ewmaAlpha\":" + FormatDouble(kEwmaAlpha);
+  out += ",\"flagThreshold\":" + FormatDouble(kFlagThreshold);
+  out += ",\"clearThreshold\":" + FormatDouble(kClearThreshold);
+  out += ",\"minObservations\":" + std::to_string(kMinObservations);
   out += ",\"residualBounds\":[";
-  for (size_t i = 0; i < options_.residual_bounds.size(); ++i) {
+  for (size_t i = 0; i < kResidualBounds.size(); ++i) {
     if (i > 0) out += ",";
-    out += FormatDouble(options_.residual_bounds[i]);
+    out += FormatDouble(kResidualBounds[i]);
   }
   out += "],\"pairs\":[";
   bool first = true;

@@ -1,6 +1,7 @@
 #ifndef IRES_MODELING_DRIFT_H_
 #define IRES_MODELING_DRIFT_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -26,24 +27,21 @@ namespace ires {
 /// step, orders of magnitude rarer than metric increments).
 class DriftObservatory {
  public:
-  struct Options {
-    /// EWMA smoothing factor for the drift score (higher = more reactive).
-    double ewma_alpha = 0.2;
-    /// A pair whose EWMA relative error crosses this is flagged.
-    double flag_threshold = 0.5;
-    /// Hysteresis: a flagged pair unflags only below this.
-    double clear_threshold = 0.25;
-    /// Minimum observations before a pair can be flagged.
-    uint64_t min_observations = 5;
-    /// Exemplar job ids retained per pair (worst recent residuals).
-    size_t max_exemplars = 4;
-    /// Relative-error histogram bucket upper bounds.
-    std::vector<double> residual_bounds = {0.01, 0.025, 0.05, 0.1, 0.25,
-                                           0.5,  1.0,   2.5,  5.0};
-  };
+  /// EWMA smoothing factor for the drift score (higher = more reactive).
+  static constexpr double kEwmaAlpha = 0.2;
+  /// A pair whose EWMA relative error crosses this is flagged.
+  static constexpr double kFlagThreshold = 0.5;
+  /// Hysteresis: a flagged pair unflags only below this.
+  static constexpr double kClearThreshold = 0.25;
+  /// Minimum observations before a pair can be flagged.
+  static constexpr uint64_t kMinObservations = 5;
+  /// Exemplar job ids retained per pair (worst recent residuals).
+  static constexpr size_t kMaxExemplars = 4;
+  /// Relative-error histogram bucket upper bounds, ascending.
+  static constexpr std::array<double, 9> kResidualBounds = {
+      0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0};
 
-  DriftObservatory();
-  explicit DriftObservatory(Options options, MetricsRegistry* metrics = nullptr);
+  explicit DriftObservatory(MetricsRegistry* metrics = nullptr);
 
   DriftObservatory(const DriftObservatory&) = delete;
   DriftObservatory& operator=(const DriftObservatory&) = delete;
@@ -79,8 +77,6 @@ class DriftObservatory {
   /// summary, and the refinement-candidate list.
   std::string ToJson() const EXCLUDES(mu_);
 
-  const Options& options() const { return options_; }
-
  private:
   struct PairState {
     uint64_t observations = 0;
@@ -93,7 +89,6 @@ class DriftObservatory {
     std::vector<std::pair<double, std::string>> exemplars;
   };
 
-  Options options_;
   MetricsRegistry* metrics_;
 
   /// Observe publishes to the metrics registry after dropping this lock,

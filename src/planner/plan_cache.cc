@@ -2,23 +2,18 @@
 
 namespace ires {
 
-PlanCache::PlanCache(size_t capacity, MetricsRegistry* metrics)
-    : capacity_(capacity) {
-  if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<MetricsRegistry>();
-    metrics = owned_metrics_.get();
-  }
+PlanCache::PlanCache(MetricsRegistry& metrics) {
   const std::string help = "Plan-cache events by outcome.";
-  hits_ = metrics->GetCounter("ires_plan_cache_events_total", help,
-                              {{"event", "hit"}});
-  misses_ = metrics->GetCounter("ires_plan_cache_events_total", help,
-                                {{"event", "miss"}});
-  insertions_ = metrics->GetCounter("ires_plan_cache_events_total", help,
-                                    {{"event", "insert"}});
-  evictions_ = metrics->GetCounter("ires_plan_cache_events_total", help,
-                                   {{"event", "evict"}});
-  entries_gauge_ = metrics->GetGauge("ires_plan_cache_entries",
-                                     "Plans currently cached.");
+  hits_ = metrics.GetCounter("ires_plan_cache_events_total", help,
+                             {{"event", "hit"}});
+  misses_ = metrics.GetCounter("ires_plan_cache_events_total", help,
+                               {{"event", "miss"}});
+  insertions_ = metrics.GetCounter("ires_plan_cache_events_total", help,
+                                   {{"event", "insert"}});
+  evictions_ = metrics.GetCounter("ires_plan_cache_events_total", help,
+                                  {{"event", "evict"}});
+  entries_gauge_ =
+      metrics.GetGauge("ires_plan_cache_entries", "Plans currently cached.");
 }
 
 std::optional<ExecutionPlan> PlanCache::Lookup(const Key& key) {
@@ -34,9 +29,8 @@ std::optional<ExecutionPlan> PlanCache::Lookup(const Key& key) {
 
 void PlanCache::Insert(const Key& key, const ExecutionPlan& plan) {
   MutexLock lock(mu_);
-  if (capacity_ == 0) return;
   if (entries_.count(key) > 0) return;
-  while (entries_.size() >= capacity_ && !insertion_order_.empty()) {
+  while (entries_.size() >= kCapacity && !insertion_order_.empty()) {
     entries_.erase(insertion_order_.front());
     insertion_order_.pop_front();
     evictions_->Increment();

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -25,9 +24,9 @@ namespace ires {
 /// naturally invalidates stale plans (their keys stop being produced).
 ///
 /// Hit/miss/insertion/eviction accounting lives on `ires_plan_cache_*`
-/// counters in a MetricsRegistry (the server's when one is supplied, a
-/// private one otherwise); stats() is a thin read over those counters, so
-/// the REST stats route and /apiv1/metrics report from one source.
+/// counters in the server's MetricsRegistry; stats() is a thin read over
+/// those counters, so the REST stats route and /apiv1/metrics report from
+/// one source.
 class PlanCache {
  public:
   struct Key {
@@ -54,11 +53,10 @@ class PlanCache {
     size_t entries = 0;
   };
 
-  /// When `metrics` is null the cache keeps its counters in a private
-  /// registry (standalone/test use); the server passes its own so the
-  /// counters surface on /apiv1/metrics.
-  explicit PlanCache(size_t capacity = 128,
-                     MetricsRegistry* metrics = nullptr);
+  /// Plans held before FIFO eviction.
+  static constexpr size_t kCapacity = 128;
+
+  explicit PlanCache(MetricsRegistry& metrics);
 
   /// Returns a copy of the cached plan for `key`, counting a hit/miss.
   std::optional<ExecutionPlan> Lookup(const Key& key) EXCLUDES(mu_);
@@ -71,8 +69,6 @@ class PlanCache {
   Stats stats() const EXCLUDES(mu_);
 
  private:
-  const size_t capacity_;
-  std::unique_ptr<MetricsRegistry> owned_metrics_;  // fallback registry
   Counter* hits_;
   Counter* misses_;
   Counter* insertions_;

@@ -151,8 +151,4 @@ std::shared_ptr<const CandidateSnapshot::Set> PlannerContext::Build(
   return set;
 }
 
-PlannerContext::Stats PlannerContext::stats() const {
-  return Stats{hits_->Value(), misses_->Value()};
-}
-
 }  // namespace ires

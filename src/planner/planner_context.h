@@ -119,12 +119,6 @@ class PlannerContext {
   const OperatorLibrary* library() const { return library_; }
   const EngineRegistry* engines() const { return engines_; }
 
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-  };
-  Stats stats() const;
-
  private:
   static constexpr size_t kShards = 8;
 

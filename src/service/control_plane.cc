@@ -65,6 +65,8 @@ ControlPlane::ControlPlane(IresServer* server, Options options)
       metrics.GetCounter("ires_jobs_total", kJobsHelp, {{"event", "rejected"}});
   replicas_up_gauge_ = metrics.GetGauge("ires_control_plane_replicas_up",
                                         "Replicas currently heartbeating.");
+  queued_gauge_ = metrics.GetGauge("ires_jobs_queued",
+                                   "Jobs admitted and awaiting a worker.");
   MutexLock lock(mu_);
   replicas_.resize(services_.size());
   BuildRingLocked();
@@ -92,9 +94,8 @@ ControlPlane::~ControlPlane() {
 
 void ControlPlane::BuildRingLocked() {
   ring_.clear();
-  const int virtual_nodes = std::max(1, options_.virtual_nodes);
   for (size_t i = 0; i < services_.size(); ++i) {
-    for (int v = 0; v < virtual_nodes; ++v) {
+    for (int v = 0; v < kVirtualNodes; ++v) {
       ring_.emplace_back(
           Mix64((static_cast<uint64_t>(i) << 32) | static_cast<uint64_t>(v)),
           static_cast<int>(i));
@@ -177,16 +178,13 @@ Result<std::string> ControlPlane::Submit(const WorkflowGraph& graph,
   // Graceful degradation: shed the lowest QoS classes first as aggregate
   // saturation climbs, instead of 429ing everyone at the cliff.
   if (options_.shed_bronze_at > 0.0 || options_.shed_silver_at > 0.0) {
-    size_t queued = 0;
     size_t capacity = 0;
     for (const std::unique_ptr<JobService>& service : services_) {
-      queued += service->stats().queue_depth;
       capacity += service->options().queue_capacity;
     }
     const double saturation =
         capacity == 0 ? 0.0
-                      : static_cast<double>(queued) /
-                            static_cast<double>(capacity);
+                      : queued_gauge_->Value() / static_cast<double>(capacity);
     const bool shed_bronze = options_.shed_bronze_at > 0.0 &&
                              tenant_config.qos_class >= 2 &&
                              saturation >= options_.shed_bronze_at;
@@ -225,15 +223,6 @@ Result<std::string> ControlPlane::Submit(const WorkflowGraph& graph,
     return submitted.status();
   }
   const std::string& id = submitted.value();
-  JobSpec spec;
-  spec.graph = graph;
-  spec.workflow_name = request.workflow_name;
-  spec.policy = request.policy;
-  spec.exec = request.exec;
-  spec.slo_class = request.slo_class;
-  spec.qos_class = tenant_config.qos_class;
-  spec.weight = tenant_config.weight;
-  specs_[id] = std::move(spec);
   assignment_[id] = target;
   if (!request.idempotency_key.empty()) {
     idempotency_[request.idempotency_key] = id;
@@ -283,37 +272,54 @@ Status ControlPlane::Cancel(const std::string& id) {
 
 bool ControlPlane::ResubmitLocked(const JobJournal::OpenJob& open,
                                   int target) {
-  auto spec_it = specs_.find(open.job);
-  if (spec_it == specs_.end()) return false;  // not plane-submitted
+  auto owner_it = assignment_.find(open.job);
+  if (owner_it == assignment_.end()) return false;
+  // Read the submission from the owner's retained Job. The shared_ptr
+  // keeps it alive when the target is the owner itself (RestartReplica
+  // re-adoption replaces the map slot); graph, exec, QoS class and weight
+  // never change after Submit, the record fields are copied under the
+  // owner's lock, which is released before Submit takes the target's.
+  std::shared_ptr<const JobService::Job> owned;
+  std::string workflow_name;
+  OptimizationPolicy policy;
+  std::string slo_class;
+  {
+    JobService& owner = *services_[owner_it->second];
+    MutexLock owner_lock(owner.mu_);
+    auto job_it = owner.jobs_.find(open.job);
+    if (job_it == owner.jobs_.end()) return false;
+    owned = job_it->second;
+    workflow_name = owned->record.workflow;
+    policy = owned->record.policy;
+    slo_class = owned->record.slo_class;
+  }
   const uint64_t incarnation = journal_.Reassign(open.job, target);
   // 0 means the job raced to terminal between the snapshot and now —
   // whichever of "terminal append" and "Reassign" wins, the loser no-ops.
   if (incarnation == 0) return false;
-  const JobSpec& spec = spec_it->second;
   JobService::SubmitMeta meta;
   meta.tenant = open.tenant;
-  meta.qos_class = spec.qos_class;
-  meta.weight = spec.weight;
+  meta.qos_class = owned->qos_class;
+  meta.weight = owned->weight;
   meta.idempotency_key = open.idempotency_key;
   meta.id = open.job;
   meta.incarnation = incarnation;
   meta.replica = target;
   meta.recovered = true;
-  IresServer::ExecutionOptions exec = spec.exec;
+  IresServer::ExecutionOptions exec = owned->exec;
   // The journaled step outputs seed the planner's materialized-
   // intermediates pruning: the resumed run replans around work already
   // done instead of redoing it.
   exec.resume_materialized = open.materialized;
-  assignment_[open.job] = target;
-  failovers_.fetch_add(1, std::memory_order_relaxed);
+  owner_it->second = target;
   failovers_total_->Increment();
   JournalWriter(&server_->journal(), open.job)
       .Emit(EventKind::kJobFailover, -1, "", "",
             static_cast<double>(incarnation),
             "incarnation " + std::to_string(incarnation) + " -> replica " +
                 std::to_string(target));
-  services_[target]->Submit(spec.graph, spec.workflow_name, spec.policy,
-                            exec, spec.slo_class, meta);
+  services_[target]->Submit(owned->graph, workflow_name, policy, exec,
+                            slo_class, meta);
   return true;
 }
 
@@ -399,9 +405,9 @@ void ControlPlane::Tick(double now_seconds) {
     if (heartbeating) replica.last_heartbeat = now_seconds;
     if (replica.state == ReplicaState::kDown) continue;
     const double age = now_seconds - replica.last_heartbeat;
-    if (age >= options_.down_after_seconds) {
+    if (age >= kDownAfterSeconds) {
       MarkDownAndFailoverLocked(static_cast<int>(i));
-    } else if (age >= options_.suspect_after_seconds) {
+    } else if (age >= kSuspectAfterSeconds) {
       if (replica.state != ReplicaState::kSuspect) {
         replica.state = ReplicaState::kSuspect;
         EmitReplicaState(static_cast<int>(i), "suspect");
@@ -435,9 +441,11 @@ ControlPlane::Health ControlPlane::health() const {
     entry.state = replica.state;
     entry.partitioned = replica.partitioned;
     const JobService& service = *services_[i];
-    const JobService::Stats stats = service.stats();
-    entry.queue_depth = stats.queue_depth;
-    entry.running = stats.running;
+    {
+      MutexLock service_lock(service.mu_);
+      entry.queue_depth = service.queued_;
+      entry.running = service.active_;
+    }
     entry.backlog_seconds = service.BacklogSeconds();
     entry.journal_lag = journal_.ReplicaLag(static_cast<int>(i));
     health.queue_depth += entry.queue_depth;
@@ -450,22 +458,6 @@ ControlPlane::Health ControlPlane::health() const {
   return health;
 }
 
-JobService::Stats ControlPlane::AggregateStats() const {
-  // Lifecycle counters are shared registry series — identical pointers in
-  // every replica — so read them once and only sum the per-service state.
-  JobService::Stats stats = services_[0]->stats();
-  stats.queue_depth = 0;
-  stats.running = 0;
-  stats.workers = 0;
-  for (const std::unique_ptr<JobService>& service : services_) {
-    const JobService::Stats s = service->stats();
-    stats.queue_depth += s.queue_depth;
-    stats.running += s.running;
-    stats.workers += s.workers;
-  }
-  return stats;
-}
-
 double ControlPlane::RetryAfterSeconds() const {
   MutexLock lock(mu_);
   double best = -1.0;
@@ -476,7 +468,7 @@ double ControlPlane::RetryAfterSeconds() const {
     const double backlog = services_[i]->BacklogSeconds();
     if (best < 0.0 || backlog < best) best = backlog;
   }
-  if (best < 0.0) best = options_.down_after_seconds;  // nothing live
+  if (best < 0.0) best = kDownAfterSeconds;  // nothing live
   return std::max(1.0, std::ceil(best));
 }
 

@@ -1,7 +1,6 @@
 #ifndef IRES_SERVICE_CONTROL_PLANE_H_
 #define IRES_SERVICE_CONTROL_PLANE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -58,24 +57,24 @@ class ControlPlane {
     size_t max_open_jobs = 0;
   };
 
+  /// Virtual nodes per replica on the hash ring.
+  static constexpr int kVirtualNodes = 16;
+  /// Heartbeat state machine: seconds without a heartbeat before a replica
+  /// turns SUSPECT, then DOWN (DOWN triggers failover).
+  static constexpr double kSuspectAfterSeconds = 2.0;
+  static constexpr double kDownAfterSeconds = 5.0;
+
   struct Options {
     /// Replica shards. 1 is the smallest deployment; kills then have no
     /// failover target.
     int replicas = 1;
     /// Options applied to every replica.
     JobService::Options replica_options;
-    /// Virtual nodes per replica on the hash ring: more gives smoother
-    /// balance at slightly larger routing tables.
-    int virtual_nodes = 16;
     /// Graceful degradation: shed bronze once aggregate queue saturation
     /// (queued / total capacity) reaches this, silver at the higher bar.
     /// <= 0 disables shedding for that class (the default).
     double shed_bronze_at = 0.0;
     double shed_silver_at = 0.0;
-    /// Heartbeat state machine: seconds without a heartbeat before a
-    /// replica turns SUSPECT, then DOWN (DOWN triggers failover).
-    double suspect_after_seconds = 2.0;
-    double down_after_seconds = 5.0;
     /// Control-plane fault injection (kills at phase boundaries, torn
     /// journal appends, heartbeat partitions). Disabled by default.
     ControlPlaneChaosConfig chaos;
@@ -146,11 +145,6 @@ class ControlPlane {
   };
   Health health() const EXCLUDES(mu_);
 
-  /// Plane-wide stats. Lifecycle counters are shared registry instruments
-  /// (every replica resolves the same series), so they are read once —
-  /// never summed per replica; queue depth / running / workers are summed.
-  JobService::Stats AggregateStats() const EXCLUDES(mu_);
-
   /// Retry-After hint: seconds until the least-backlogged live replica
   /// frees capacity, clamped to >= 1. 0 only when nothing is queued.
   double RetryAfterSeconds() const EXCLUDES(mu_);
@@ -183,12 +177,9 @@ class ControlPlane {
   /// The replica a fingerprint routes to while all replicas are up
   /// (test helper; live routing skips down replicas).
   int RouteOf(uint64_t fingerprint) const EXCLUDES(mu_);
-  /// Replica internals (shutdown, phase probes, stats) for tests and
-  /// benches; submissions still go through Submit.
+  /// Replica internals (shutdown, phase probes) for tests and benches;
+  /// submissions still go through Submit.
   JobService* replica(int index) { return services_[index].get(); }
-  uint64_t failovers() const {
-    return failovers_.load(std::memory_order_relaxed);
-  }
   ControlPlaneChaos* chaos() { return chaos_.get(); }
 
   bool WaitForIdle(double timeout_seconds) const;
@@ -202,26 +193,16 @@ class ControlPlane {
     double last_heartbeat = -1.0;
   };
 
-  /// What failover needs to resubmit a job from scratch: the full
-  /// submission, kept until the job's journal record turns terminal.
-  struct JobSpec {
-    WorkflowGraph graph;
-    std::string workflow_name;
-    OptimizationPolicy policy;
-    IresServer::ExecutionOptions exec;
-    std::string slo_class;
-    int qos_class = 1;
-    double weight = 1.0;
-  };
-
   void BuildRingLocked() REQUIRES(mu_);
   /// First live replica at or clockwise of `hash`; -1 when none is live.
   int RouteLiveLocked(uint64_t hash) const REQUIRES(mu_);
   int LiveCountLocked() const REQUIRES(mu_);
   void MarkDownAndFailoverLocked(int replica) REQUIRES(mu_);
   /// Fences `open`'s incarnation and resubmits it to `target` with its
-  /// journaled step outputs seeding the resume. No-op (false) when the
-  /// job raced to terminal or has no retained spec.
+  /// journaled step outputs seeding the resume. The submission (graph,
+  /// name, policy, exec options, SLO class, QoS class, weight) is read
+  /// from the Job the owning replica retains — a killed replica's records
+  /// stay readable. No-op (false) when the job raced to terminal.
   bool ResubmitLocked(const JobJournal::OpenJob& open, int target)
       REQUIRES(mu_);
   /// Phase probe from replica `replica`'s job threads (no locks held).
@@ -243,18 +224,18 @@ class ControlPlane {
   /// Sorted (hash, replica) ring of virtual nodes.
   std::vector<std::pair<uint64_t, int>> ring_ GUARDED_BY(mu_);
   std::map<std::string, TenantConfig> tenants_ GUARDED_BY(mu_);
-  std::map<std::string, JobSpec> specs_ GUARDED_BY(mu_);
   std::map<std::string, int> assignment_ GUARDED_BY(mu_);
   std::map<std::string, std::string> idempotency_ GUARDED_BY(mu_);
   uint64_t next_job_number_ GUARDED_BY(mu_) = 1;
   /// Round-robins chaos partitions over replicas.
   int partition_cursor_ GUARDED_BY(mu_) = 0;
 
-  std::atomic<uint64_t> failovers_{0};
-
   Counter* failovers_total_;
   Counter* rejected_total_;
   Gauge* replicas_up_gauge_;
+  /// Plane-wide QUEUED count (the replicas' shared `ires_jobs_queued`
+  /// series); the shedding check's saturation numerator.
+  Gauge* queued_gauge_;
 };
 
 }  // namespace ires

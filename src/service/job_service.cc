@@ -145,6 +145,7 @@ Result<std::string> JobService::Submit(
         victim->record.state = JobState::kCancelled;
         victim->record.error = "preempted by higher-class admission";
         --queued_;
+        queued_gauge_->Add(-1.0);
         preempted_total_->Increment();
         FinalizeLocked(victim);
       } else {
@@ -198,7 +199,7 @@ Result<std::string> JobService::Submit(
     jobs_[job->record.id] = job;
     if (!replacing) submission_order_.push_back(job->record.id);
     ++queued_;
-    queued_gauge_->Set(static_cast<double>(queued_));
+    queued_gauge_->Add(1.0);
     submitted_total_->Increment();
     if (!meta.recovered) {
       journal_.Open(job->record.id, meta.replica, meta.tenant,
@@ -246,7 +247,7 @@ void JobService::DispatchLocked() {
       if (job->record.state == JobState::kQueued) {
         job->record.state = JobState::kCancelled;
         --queued_;
-        queued_gauge_->Set(static_cast<double>(queued_));
+        queued_gauge_->Add(-1.0);
         FinalizeLocked(job.get());
       }
     }
@@ -306,10 +307,10 @@ void JobService::AbandonLocked(Job* job) {
   if (IsTerminal(job->record.state)) return;
   if (job->record.state == JobState::kQueued) {
     --queued_;
-    queued_gauge_->Set(static_cast<double>(queued_));
+    queued_gauge_->Add(-1.0);
   } else {
     --active_;
-    active_gauge_->Set(static_cast<double>(active_));
+    active_gauge_->Add(-1.0);
   }
   job->record.state = JobState::kCancelled;
   job->record.error = "abandoned: replica crashed";
@@ -349,7 +350,7 @@ void JobService::ExecuteJob(const std::shared_ptr<Job>& job) {
     if (job->cancel_requested || shutting_down_) {
       job->record.state = JobState::kCancelled;
       --queued_;
-      queued_gauge_->Set(static_cast<double>(queued_));
+      queued_gauge_->Add(-1.0);
       FinalizeLocked(job.get());
       return;
     }
@@ -362,8 +363,8 @@ void JobService::ExecuteJob(const std::shared_ptr<Job>& job) {
     plan_span = trace->BeginSpan("job.plan", "job");
     --queued_;
     ++active_;
-    queued_gauge_->Set(static_cast<double>(queued_));
-    active_gauge_->Set(static_cast<double>(active_));
+    queued_gauge_->Add(-1.0);
+    active_gauge_->Add(1.0);
     journal_.Append(JournalRecordFor(job->record, JournalPhase::kPlanning));
     policy = job->record.policy;
   }
@@ -380,7 +381,7 @@ void JobService::ExecuteJob(const std::shared_ptr<Job>& job) {
       job->record.state = JobState::kFailed;
       job->record.error = planned.status().ToString();
       --active_;
-      active_gauge_->Set(static_cast<double>(active_));
+      active_gauge_->Add(-1.0);
       FinalizeLocked(job.get());
       return;
     }
@@ -403,7 +404,7 @@ void JobService::ExecuteJob(const std::shared_ptr<Job>& job) {
     if (job->cancel_requested) {
       job->record.state = JobState::kCancelled;
       --active_;
-      active_gauge_->Set(static_cast<double>(active_));
+      active_gauge_->Add(-1.0);
       FinalizeLocked(job.get());
       return;
     }
@@ -460,7 +461,7 @@ void JobService::ExecuteJob(const std::shared_ptr<Job>& job) {
       return;
     }
     --active_;
-    active_gauge_->Set(static_cast<double>(active_));
+    active_gauge_->Add(-1.0);
     if (job->record.outcome.status.ok()) {
       job->record.state = JobState::kSucceeded;
     } else {
@@ -500,27 +501,13 @@ Status JobService::Cancel(const std::string& id) {
   if (job.record.state == JobState::kQueued) {
     job.record.state = JobState::kCancelled;
     --queued_;
-    queued_gauge_->Set(static_cast<double>(queued_));
+    queued_gauge_->Add(-1.0);
     FinalizeLocked(&job);
     return Status::OK();
   }
   // PLANNING / RUNNING: honoured at the next preemption point.
   job.cancel_requested = true;
   return Status::OK();
-}
-
-JobService::Stats JobService::stats() const {
-  MutexLock lock(mu_);
-  Stats s;
-  s.submitted = submitted_total_->Value();
-  s.rejected = rejected_total_->Value();
-  s.succeeded = succeeded_total_->Value();
-  s.failed = failed_total_->Value();
-  s.cancelled = cancelled_total_->Value();
-  s.queue_depth = queued_;
-  s.running = active_;
-  s.workers = options_.workers;
-  return s;
 }
 
 bool JobService::WaitForIdle(double timeout_seconds) const {
@@ -556,10 +543,10 @@ void JobService::Shutdown() {
     if (job->record.state == JobState::kQueued) {
       job->record.state = JobState::kCancelled;
       --queued_;
+      queued_gauge_->Add(-1.0);
       FinalizeLocked(job.get());
     }
   }
-  queued_gauge_->Set(static_cast<double>(queued_));
   idle_.notify_all();
 }
 

@@ -123,9 +123,11 @@ struct JobRecord {
 /// that lets a long-lived multi-user IReS deployment shed load instead of
 /// collapsing under it.
 ///
-/// Telemetry: lifecycle counters (`ires_jobs_total{outcome=...}`), queue
+/// Telemetry: lifecycle counters (`ires_jobs_total{event=...}`), queue
 /// depth / active gauges, and queue-wait / job-duration histograms all live
-/// in the server's MetricsRegistry; stats() is a thin read over them.
+/// in the server's MetricsRegistry, the one read path for every count. All
+/// replicas share those series: each moves the gauges by deltas, so they
+/// read the plane-wide totals.
 class JobService {
  public:
   struct Options {
@@ -135,17 +137,6 @@ class JobService {
     /// Jobs admitted but not yet picked up by a worker. Submissions are
     /// rejected once this many are waiting.
     size_t queue_capacity = 64;
-  };
-
-  struct Stats {
-    uint64_t submitted = 0;   // accepted submissions
-    uint64_t rejected = 0;    // bounced on a full queue
-    uint64_t succeeded = 0;
-    uint64_t failed = 0;
-    uint64_t cancelled = 0;
-    size_t queue_depth = 0;   // currently QUEUED
-    size_t running = 0;       // currently PLANNING or RUNNING
-    int workers = 0;
   };
 
   /// Probe invoked at job phase boundaries with no service lock held:
@@ -200,8 +191,6 @@ class JobService {
   /// RUNNING job records the request but completes (see the state machine
   /// above). Terminal jobs return FailedPrecondition.
   Status Cancel(const std::string& id) EXCLUDES(mu_);
-
-  Stats stats() const EXCLUDES(mu_);
 
   const Options& options() const { return options_; }
 
@@ -330,8 +319,7 @@ class JobService {
   /// EWMA of terminal job durations (seconds); feeds BacklogSeconds.
   double ewma_seconds_ GUARDED_BY(mu_) = 0.0;
 
-  // Registry-backed instruments (stats() reads the counters back, so the
-  // legacy accessors and /apiv1/metrics can never disagree).
+  // Registry-backed instruments, shared by every replica of the plane.
   Counter* submitted_total_;
   Counter* rejected_total_;
   Counter* succeeded_total_;

@@ -34,13 +34,12 @@ const char* SqlOutcomeLabel(StatusCode code, bool parsed) {
 
 }  // namespace
 
-SqlService::SqlService(IresServer* server, Options options)
+SqlService::SqlService(IresServer* server)
     : server_(server),
-      catalog_(sql::MakeTpchCatalog(options.tpch_scale_gb, "PostgreSQL",
-                                    "MemSQL", "SparkSQL")),
+      catalog_(sql::MakeTpchCatalog(kTpchScaleGb, "PostgreSQL", "MemSQL",
+                                    "SparkSQL")),
       engines_(sql::MakeStandardSqlEngines()) {
-  optimizer_ = std::make_unique<sql::MusqleOptimizer>(&catalog_, &engines_,
-                                                      options.optimizer);
+  optimizer_ = std::make_unique<sql::MusqleOptimizer>(&catalog_, &engines_);
   MetricsRegistry& metrics = server_->metrics();
   shape_hits_ = metrics.GetCounter(
       "ires_sql_shape_cache_hits_total",

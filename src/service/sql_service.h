@@ -37,14 +37,10 @@ namespace ires {
 ///   ires_sql_lowered_nodes_total{kind=scan|join|move}
 class SqlService {
  public:
-  struct Options {
-    /// TPC-H catalog scale (GB) behind the federated fleet.
-    double tpch_scale_gb = 10.0;
-    sql::MusqleOptimizer::Options optimizer;
-  };
+  /// TPC-H catalog scale (GB) behind the federated fleet.
+  static constexpr double kTpchScaleGb = 10.0;
 
-  explicit SqlService(IresServer* server) : SqlService(server, Options()) {}
-  SqlService(IresServer* server, Options options);
+  explicit SqlService(IresServer* server);
 
   SqlService(const SqlService&) = delete;
   SqlService& operator=(const SqlService&) = delete;

@@ -482,8 +482,8 @@ Result<SqlPlan> MusqleOptimizer::Optimize(const Query& query,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  st.modeled_explain_seconds = st.explain_calls * options_.explain_call_seconds;
-  st.modeled_inject_seconds = st.inject_calls * options_.inject_call_seconds;
+  st.modeled_explain_seconds = st.explain_calls * kExplainCallSeconds;
+  st.modeled_inject_seconds = st.inject_calls * kInjectCallSeconds;
   return plan;
 }
 

@@ -73,10 +73,11 @@ class MusqleOptimizer {
     kLeftDeep,
   };
 
+  /// Modeled per-call latency of external estimation endpoints.
+  static constexpr double kExplainCallSeconds = 2e-3;
+  static constexpr double kInjectCallSeconds = 5e-4;
+
   struct Options {
-    /// Modeled per-call latency of external estimation endpoints.
-    double explain_call_seconds = 2e-3;
-    double inject_call_seconds = 5e-4;
     Enumeration enumeration = Enumeration::kDpccp;
   };
 

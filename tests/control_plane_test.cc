@@ -54,25 +54,32 @@ void RegisterLineCount(RestApi* api) {
   ASSERT_EQ(api->Handle("POST", "/apiv1/workflows/lc", kGraph).code, 201);
 }
 
+uint64_t Failovers(IresServer& server) {
+  return server.metrics()
+      .GetCounter("ires_control_plane_failovers_total", "")
+      ->Value();
+}
+
 WorkflowGraph LineCountGraph(IresServer* server) {
   auto graph = server->ParseWorkflow(kGraph);
   EXPECT_TRUE(graph.ok()) << graph.status();
   return graph.value();
 }
 
-/// Blocks every job of the replicas it is installed on at the
-/// pre-planning phase boundary until released — the deterministic way to
-/// hold jobs QUEUED behind a busy worker. Must be installed before the
-/// replica's first Submit and ALWAYS released before teardown (a gated
-/// worker never joins).
+/// Blocks every job of the replicas it is installed on at one phase
+/// boundary until released: 'p' (pre-planning, the default) holds jobs
+/// QUEUED behind a busy worker, 'r' (pre-execution) holds them RUNNING.
+/// Must be installed before the replica's first Submit and ALWAYS released
+/// before teardown (a gated worker never joins).
 class PlanGate {
  public:
+  explicit PlanGate(char phase = 'p') : phase_(phase) {}
   ~PlanGate() { Release(); }
 
   void InstallOn(JobService* service) {
     service->set_phase_probe(
         [this](const std::string&, int, char phase) {
-          if (phase != 'p') return;
+          if (phase != phase_) return;
           parked_.fetch_add(1, std::memory_order_acq_rel);
           while (!open_.load(std::memory_order_acquire)) {
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -95,6 +102,7 @@ class PlanGate {
   }
 
  private:
+  const char phase_;
   std::atomic<bool> open_{false};
   std::atomic<int> parked_{0};
 };
@@ -560,6 +568,69 @@ TEST(JobJournalTest, ReplayRestoresOpenStateAndKeepsTerminalsFenced) {
   EXPECT_EQ(restored.Reassign("job-b", 0), 2u);
 }
 
+// ------------------------------------------------------- plane-wide gauges
+
+TEST(ControlPlaneTelemetryTest, JobGaugesSumOverReplicas) {
+  IresServer server;
+  RestApi setup(&server);
+  RegisterLineCount(&setup);
+  const WorkflowGraph first = LineCountGraph(&server);
+
+  ControlPlane::Options options;
+  options.replicas = 2;
+  options.replica_options.workers = 1;
+  ControlPlane plane(&server, options);
+  // The same workflow under another output name fingerprints differently;
+  // take the first variant that routes to the other replica.
+  const int first_replica = plane.RouteOf(first.Fingerprint());
+  WorkflowGraph second;
+  for (int n = 2; n < 100; ++n) {
+    const std::string out = "d" + std::to_string(n);
+    auto graph = server.ParseWorkflow("asapServerLog,LineCount,0\n"
+                                      "LineCount," + out + ",0\n" +
+                                      out + ",$$target\n");
+    ASSERT_TRUE(graph.ok()) << graph.status();
+    if (plane.RouteOf(graph.value().Fingerprint()) != first_replica) {
+      second = graph.value();
+      break;
+    }
+  }
+  ASSERT_GT(second.size(), 0u);
+
+  // Each replica's one worker parks its first job RUNNING; the next two
+  // wait QUEUED behind it.
+  PlanGate gate('r');
+  gate.InstallOn(plane.replica(0));
+  gate.InstallOn(plane.replica(1));
+  ControlPlane::SubmitRequest request;
+  request.workflow_name = "lc";
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(plane.Submit(first, request).ok());
+    ASSERT_TRUE(plane.Submit(second, request).ok());
+  }
+  gate.WaitForParked(2);
+
+  auto gauge = [&server](const char* name) {
+    return server.metrics().GetGauge(name, "")->Value();
+  };
+  const ControlPlane::Health health = plane.health();
+  size_t queued = 0;
+  size_t running = 0;
+  for (const ControlPlane::ReplicaHealth& replica : health.replicas) {
+    EXPECT_EQ(replica.queue_depth, 2u) << "replica " << replica.id;
+    EXPECT_EQ(replica.running, 1u) << "replica " << replica.id;
+    queued += replica.queue_depth;
+    running += replica.running;
+  }
+  EXPECT_EQ(gauge("ires_jobs_queued"), static_cast<double>(queued));
+  EXPECT_EQ(gauge("ires_jobs_active"), static_cast<double>(running));
+
+  gate.Release();
+  ASSERT_TRUE(plane.WaitForIdle(60.0));
+  EXPECT_EQ(gauge("ires_jobs_queued"), 0.0);
+  EXPECT_EQ(gauge("ires_jobs_active"), 0.0);
+}
+
 // ---------------------------------------------------------------- failover
 
 TEST(ControlPlaneFailoverTest, KillMidPlanReroutesAndCompletes) {
@@ -586,7 +657,7 @@ TEST(ControlPlaneFailoverTest, KillMidPlanReroutesAndCompletes) {
   // Kill the replica while the job is parked pre-planning; the plane
   // fences incarnation 1 and resubmits to the survivor.
   plane.KillReplica(target);
-  EXPECT_EQ(plane.failovers(), 1u);
+  EXPECT_EQ(Failovers(server), 1u);
   gate.Release();
   ASSERT_TRUE(plane.WaitForIdle(60.0));
 
@@ -652,7 +723,7 @@ TEST(ControlPlaneFailoverTest, KillMidRunResumesSkippingJournaledSteps) {
   // The survivor inherited the journaled step instead of re-planning it.
   EXPECT_GE(record.value().resumed_steps, 1);
   EXPECT_EQ(record.value().incarnation, 2u);
-  EXPECT_EQ(plane.failovers(), 1u);
+  EXPECT_EQ(Failovers(server), 1u);
 
   int terminals = 0;
   int steps_inc1 = 0;
@@ -669,12 +740,88 @@ TEST(ControlPlaneFailoverTest, KillMidRunResumesSkippingJournaledSteps) {
   EXPECT_GE(plane.journal().stats().fenced, 1u);
 }
 
+TEST(ControlPlaneFailoverTest, ChainedFailoverKeepsTheOriginalSubmission) {
+  IresServer server;
+  const GeneratedWorkload text = MakeTextAnalyticsWorkflow(1000);
+  ASSERT_TRUE(server.ImportLibrary(text.library).ok());
+
+  ControlPlane::Options options;
+  options.replicas = 3;
+  ControlPlane plane(&server, options);
+  ControlPlane::TenantConfig gold;
+  gold.qos_class = 0;
+  gold.weight = 2.0;
+  plane.SetTenant("acme", gold);
+
+  // The first owner dies right after the job's first step is journaled.
+  // The failover target then dies before planning the resumed run, so the
+  // third replica must rebuild the submission from the second owner's
+  // retained record, not from the first.
+  std::atomic<int> kills{0};
+  for (int i = 0; i < plane.replica_count(); ++i) {
+    plane.replica(i)->set_phase_probe(
+        [&plane, &kills, i](const std::string&, int done, char phase) {
+          const bool first = phase == 's' && done == 1 && kills.load() == 0;
+          const bool second = phase == 'p' && kills.load() == 1;
+          if (!first && !second) return;
+          int expected = first ? 0 : 1;
+          if (kills.compare_exchange_strong(expected, expected + 1)) {
+            plane.KillReplica(i);
+          }
+        });
+  }
+
+  ControlPlane::SubmitRequest request;
+  request.workflow_name = "text";
+  request.slo_class = "sql";
+  request.tenant = "acme";
+  auto id = plane.Submit(text.graph, request);
+  ASSERT_TRUE(id.ok()) << id.status();
+  const int first_owner = plane.RouteOf(text.graph.Fingerprint());
+  ASSERT_TRUE(plane.WaitForIdle(60.0));
+  ASSERT_EQ(kills.load(), 2);
+  EXPECT_EQ(Failovers(server), 2u);
+
+  auto record = plane.Get(id.value());
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(record.value().state, JobState::kSucceeded);
+  EXPECT_TRUE(record.value().resumed);
+  EXPECT_GE(record.value().resumed_steps, 1);
+  EXPECT_EQ(record.value().incarnation, 3u);
+  EXPECT_NE(record.value().replica, first_owner);
+  EXPECT_EQ(record.value().workflow, "text");
+  EXPECT_EQ(record.value().slo_class, "sql");
+  EXPECT_EQ(record.value().tenant, "acme");
+  EXPECT_EQ(record.value().qos_class, 0);
+  // Both dead owners hold CANCELLED tombstones of the same job.
+  int tombstones = 0;
+  for (int i = 0; i < plane.replica_count(); ++i) {
+    if (i == record.value().replica) continue;
+    auto copy = plane.replica(i)->Get(id.value());
+    ASSERT_TRUE(copy.ok()) << "replica " << i;
+    EXPECT_EQ(copy.value().state, JobState::kCancelled);
+    ++tombstones;
+  }
+  EXPECT_EQ(tombstones, 2);
+
+  // The durable journal carries exactly one terminal record for the job.
+  const JobJournal::DecodeResult decoded =
+      JobJournal::Decode(plane.journal().Encode());
+  int terminals = 0;
+  for (const JobJournalRecord& r : decoded.records) {
+    if (r.job == id.value() && r.phase == JournalPhase::kTerminal) {
+      ++terminals;
+      EXPECT_EQ(r.incarnation, 3u);
+      EXPECT_EQ(r.state, "SUCCEEDED");
+    }
+  }
+  EXPECT_EQ(terminals, 1);
+}
+
 TEST(ControlPlaneFailoverTest, HeartbeatPartitionEscalatesToFailover) {
   IresServer server;
   ControlPlane::Options options;
   options.replicas = 2;
-  options.suspect_after_seconds = 2.0;
-  options.down_after_seconds = 5.0;
   ControlPlane plane(&server, options);
 
   plane.Tick(0.0);  // bootstrap heartbeats
@@ -895,7 +1042,7 @@ SoakOutcome RunControlPlaneSoak(int total_jobs, uint64_t seed) {
   SoakOutcome outcome;
   outcome.accepted = accepted.size();
   outcome.kills = plane.chaos()->counts().kills();
-  outcome.failovers = plane.failovers();
+  outcome.failovers = Failovers(server);
   for (const JobRecord& record : plane.List()) {
     if (record.resumed) ++outcome.resumed;
   }

@@ -69,7 +69,7 @@ TEST(DriftObservatoryTest, CalibratedOperatorStaysUnflagged) {
 TEST(DriftObservatoryTest, MisModeledOperatorFlagsExactlyOnce) {
   DriftObservatory drift;
   // Predicted 1s, actual 3s: relative error 0.667 > flag threshold 0.5.
-  // The pair may only flag once min_observations (5) are in.
+  // The pair may only flag once kMinObservations (5) are in.
   for (uint64_t i = 1; i <= 4; ++i) {
     EXPECT_FALSE(drift.Observe("Sort", "Hama", 1.0, 3.0,
                                "job-" + std::to_string(i)));
@@ -88,7 +88,7 @@ TEST(DriftObservatoryTest, MisModeledOperatorFlagsExactlyOnce) {
   EXPECT_TRUE(pairs[0].flagged);
   EXPECT_GT(pairs[0].drift_score, 0.5);
   EXPECT_LE(pairs[0].exemplar_jobs.size(),
-            drift.options().max_exemplars);
+            DriftObservatory::kMaxExemplars);
   EXPECT_FALSE(pairs[0].exemplar_jobs.empty());
 }
 
@@ -108,13 +108,13 @@ TEST(DriftObservatoryTest, HysteresisClearsOnlyBelowClearThreshold) {
   const std::vector<DriftObservatory::PairSnapshot> pairs = drift.Snapshot();
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_FALSE(pairs[0].flagged);
-  EXPECT_LT(pairs[0].drift_score, drift.options().clear_threshold);
+  EXPECT_LT(pairs[0].drift_score, DriftObservatory::kClearThreshold);
   EXPECT_TRUE(drift.RefinementCandidates().empty());
 }
 
 TEST(DriftObservatoryTest, ResidualHistogramAndJsonCarryTheEvidence) {
   MetricsRegistry registry;
-  DriftObservatory drift(DriftObservatory::Options(), &registry);
+  DriftObservatory drift(&registry);
   drift.Observe("Sort", "Hama", 1.0, 2.0, "job-1");  // rel error 0.5
   drift.Observe("Sort", "Hama", 1.0, 1.0, "job-2");  // rel error 0
 

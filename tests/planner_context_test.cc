@@ -37,26 +37,35 @@ MaterializedOperator MakeImpl(const std::string& name,
   return MaterializedOperator(name, std::move(meta));
 }
 
+uint64_t CandidateMisses(MetricsRegistry& metrics) {
+  return metrics.GetCounter("ires_planner_candidate_cache_misses_total", "")
+      ->Value();
+}
+
+uint64_t CandidateHits(MetricsRegistry& metrics) {
+  return metrics.GetCounter("ires_planner_candidate_cache_hits_total", "")
+      ->Value();
+}
+
 // ---- Memoization and counters. ---------------------------------------------
 
 TEST(PlannerContextTest, RepeatedResolveHitsTheCache) {
   GeneratedWorkload w = MakeWorkload();
   EngineRegistry registry;
   PegasusGenerator::RegisterSyntheticEngines(&registry, 4);
-  PlannerContext context(&w.library, &registry);
+  MetricsRegistry metrics;
+  PlannerContext context(&w.library, &registry, &metrics);
 
   // Every abstract node in the workload resolves through the index; the
   // second pass must be all hits.
   const CandidateSnapshot first = context.Resolve("fastQSplit_0");
   EXPECT_GT(first.size(), 0u);
-  const PlannerContext::Stats after_miss = context.stats();
-  EXPECT_EQ(after_miss.misses, 1u);
-  EXPECT_EQ(after_miss.hits, 0u);
+  EXPECT_EQ(CandidateMisses(metrics), 1u);
+  EXPECT_EQ(CandidateHits(metrics), 0u);
 
   const CandidateSnapshot second = context.Resolve("fastQSplit_0");
-  const PlannerContext::Stats after_hit = context.stats();
-  EXPECT_EQ(after_hit.misses, 1u);
-  EXPECT_EQ(after_hit.hits, 1u);
+  EXPECT_EQ(CandidateMisses(metrics), 1u);
+  EXPECT_EQ(CandidateHits(metrics), 1u);
   ASSERT_EQ(second.size(), first.size());
   // Hit returns the identical shared set, not a rebuilt copy.
   EXPECT_EQ(&first[0], &second[0]);
@@ -92,7 +101,8 @@ TEST(PlannerContextTest, LibraryRegistrationEvictsStaleEntries) {
           .ok());
   EngineRegistry registry;
   PegasusGenerator::RegisterSyntheticEngines(&registry, 2);
-  PlannerContext context(&library, &registry);
+  MetricsRegistry metrics;
+  PlannerContext context(&library, &registry, &metrics);
 
   EXPECT_EQ(context.Resolve("Grep").size(), 1u);
   const uint64_t stamped = context.Resolve("Grep").library_version();
@@ -103,9 +113,9 @@ TEST(PlannerContextTest, LibraryRegistrationEvictsStaleEntries) {
   ASSERT_TRUE(
       library.AddMaterialized(MakeImpl("Grep_Eng1", "Grep", "Eng1", "Store1"))
           .ok());
-  const PlannerContext::Stats before = context.stats();
+  const uint64_t before = CandidateMisses(metrics);
   const CandidateSnapshot rebuilt = context.Resolve("Grep");
-  EXPECT_EQ(context.stats().misses, before.misses + 1);
+  EXPECT_EQ(CandidateMisses(metrics), before + 1);
   EXPECT_EQ(rebuilt.size(), 2u);
   EXPECT_EQ(rebuilt.library_version(), library.version());
 }
@@ -117,14 +127,15 @@ TEST(PlannerContextTest, EngineAvailabilityFlipEvictsStaleEntries) {
           .ok());
   EngineRegistry registry;
   PegasusGenerator::RegisterSyntheticEngines(&registry, 1);
-  PlannerContext context(&library, &registry);
+  MetricsRegistry metrics;
+  PlannerContext context(&library, &registry, &metrics);
 
   EXPECT_TRUE(context.Resolve("Grep")[0].engine_available);
 
   ASSERT_TRUE(registry.SetAvailable("Eng0", false).ok());
-  const PlannerContext::Stats before = context.stats();
+  const uint64_t before = CandidateMisses(metrics);
   EXPECT_FALSE(context.Resolve("Grep")[0].engine_available);
-  EXPECT_EQ(context.stats().misses, before.misses + 1);
+  EXPECT_EQ(CandidateMisses(metrics), before + 1);
 
   ASSERT_TRUE(registry.SetAvailable("Eng0", true).ok());
   EXPECT_TRUE(context.Resolve("Grep")[0].engine_available);
@@ -142,7 +153,8 @@ TEST(PlannerContextTest, SnapshotOutlivesRemoveByEngine) {
           .ok());
   EngineRegistry registry;
   PegasusGenerator::RegisterSyntheticEngines(&registry, 2);
-  PlannerContext context(&library, &registry);
+  MetricsRegistry metrics;
+  PlannerContext context(&library, &registry, &metrics);
 
   const CandidateSnapshot held = context.Resolve("Grep");
   ASSERT_EQ(held.size(), 2u);

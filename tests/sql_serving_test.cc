@@ -171,6 +171,35 @@ class SqlApiTest : public ::testing::Test {
  protected:
   SqlApiTest() : plane_(&server_), api_(&server_, &plane_) {}
 
+  /// Registers the one-operator workflow `lc` (LineCount on Spark).
+  void RegisterLineCount() {
+    ASSERT_EQ(api_.Handle("POST", "/apiv1/datasets/asapServerLog",
+                          "Constraints.Engine.FS=HDFS\n"
+                          "Execution.path=hdfs:///log\n"
+                          "Optimization.size=5e8\n")
+                  .code,
+              201);
+    ASSERT_EQ(api_.Handle("POST", "/apiv1/abstractOperators/LineCount",
+                          "Constraints.OpSpecification.Algorithm.name="
+                          "LineCount\n")
+                  .code,
+              201);
+    ASSERT_EQ(api_.Handle("POST", "/apiv1/operators/LineCount_Spark",
+                          "Constraints.Engine=Spark\n"
+                          "Constraints.OpSpecification.Algorithm.name="
+                          "LineCount\n"
+                          "Constraints.Input0.Engine.FS=HDFS\n"
+                          "Constraints.Output0.Engine.FS=HDFS\n")
+                  .code,
+              201);
+    ASSERT_EQ(api_.Handle("POST", "/apiv1/workflows/lc",
+                          "asapServerLog,LineCount,0\n"
+                          "LineCount,d1,0\n"
+                          "d1,$$target\n")
+                  .code,
+              201);
+  }
+
   IresServer server_;
   ControlPlane plane_;
   RestApi api_;
@@ -341,31 +370,7 @@ TEST_F(SqlApiTest, UnknownOptionKeysAreRejectedNotIgnored) {
 TEST_F(SqlApiTest, ExecuteRouteSharesTheOptionsParser) {
   // The workflow execute route accepts the same structured body and
   // rejects a flat tuning parameter with the same 400.
-  ASSERT_EQ(api_.Handle("POST", "/apiv1/datasets/asapServerLog",
-                        "Constraints.Engine.FS=HDFS\n"
-                        "Execution.path=hdfs:///log\n"
-                        "Optimization.size=5e8\n")
-                .code,
-            201);
-  ASSERT_EQ(api_.Handle("POST", "/apiv1/abstractOperators/LineCount",
-                        "Constraints.OpSpecification.Algorithm.name="
-                        "LineCount\n")
-                .code,
-            201);
-  ASSERT_EQ(api_.Handle("POST", "/apiv1/operators/LineCount_Spark",
-                        "Constraints.Engine=Spark\n"
-                        "Constraints.OpSpecification.Algorithm.name="
-                        "LineCount\n"
-                        "Constraints.Input0.Engine.FS=HDFS\n"
-                        "Constraints.Output0.Engine.FS=HDFS\n")
-                .code,
-            201);
-  ASSERT_EQ(api_.Handle("POST", "/apiv1/workflows/lc",
-                        "asapServerLog,LineCount,0\n"
-                        "LineCount,d1,0\n"
-                        "d1,$$target\n")
-                .code,
-            201);
+  RegisterLineCount();
 
   ApiResponse flat =
       api_.Handle("POST", "/apiv1/workflows/lc/execute?maxReplans=1");
@@ -384,6 +389,78 @@ TEST_F(SqlApiTest, ExecuteRouteSharesTheOptionsParser) {
       "POST", "/apiv1/workflows/lc/execute?maxReplans=1",
       "{\"options\":{\"retry\":{\"attempts\":2}}}");
   EXPECT_EQ(conflict.code, 400);
+}
+
+TEST_F(SqlApiTest, AdmissionParametersNeedAsyncMode) {
+  // A sync request runs on the caller's thread, outside the control plane:
+  // a tenant (and its quota) or a dedupe key would be silently dropped, so
+  // both are rejected unless the request is async.
+  const std::string query =
+      "SELECT * FROM nation, region WHERE n_regionkey = r_regionkey";
+  for (const char* params : {"tenant=acme", "idempotencyKey=req-1",
+                             "mode=sync&tenant=acme&idempotencyKey=req-1"}) {
+    ApiResponse response =
+        api_.Handle("POST", std::string("/apiv1/sql?") + params, query);
+    EXPECT_EQ(response.code, 400) << params << ": " << response.body;
+    EXPECT_NE(response.body.find("tenant and idempotencyKey need mode=async"),
+              std::string::npos)
+        << response.body;
+  }
+  RegisterLineCount();
+  ApiResponse execute =
+      api_.Handle("POST", "/apiv1/workflows/lc/execute?tenant=acme");
+  EXPECT_EQ(execute.code, 400) << execute.body;
+
+  // Async via the query string or the options body keeps both.
+  ApiResponse query_async = api_.Handle(
+      "POST", "/apiv1/sql?mode=async&tenant=acme&idempotencyKey=req-1",
+      query);
+  ASSERT_EQ(query_async.code, 202) << query_async.body;
+  ApiResponse body_async = api_.Handle(
+      "POST", "/apiv1/workflows/lc/execute?tenant=acme",
+      "{\"options\":{\"execution\":{\"mode\":\"async\"}}}");
+  ASSERT_EQ(body_async.code, 202) << body_async.body;
+  ASSERT_TRUE(plane_.WaitForIdle(30.0));
+  for (const JobRecord& record : plane_.List()) {
+    EXPECT_EQ(record.tenant, "acme") << record.id;
+    EXPECT_EQ(record.state, JobState::kSucceeded) << record.id;
+  }
+}
+
+// ---------------------------------------------------- metric-name contract
+
+TEST_F(SqlApiTest, BenchmarkMetricFamiliesAreExposed) {
+  // The benchmark's per-layer probes sum these families by name and read a
+  // missing family as 0, so a rename would zero a reading without failing
+  // anything. After one served DAG job and one SQL query, each must be in
+  // the exposition.
+  RegisterLineCount();
+  ASSERT_EQ(
+      api_.Handle("POST", "/apiv1/workflows/lc/execute?mode=async").code,
+      202);
+  ASSERT_TRUE(plane_.WaitForIdle(30.0));
+  ASSERT_EQ(api_.Handle("POST", "/apiv1/sql",
+                        "SELECT * FROM nation, region WHERE "
+                        "n_regionkey = r_regionkey")
+                .code,
+            200);
+  const std::string metrics = api_.Handle("GET", "/apiv1/metrics").body;
+  for (const char* family :
+       {"ires_engine_steps_total counter",
+        "ires_model_refinements_total counter",
+        "ires_model_refit_forced_total counter",
+        "ires_planner_candidate_cache_hits_total counter",
+        "ires_planner_candidate_cache_misses_total counter",
+        "ires_planner_plan_seconds histogram",
+        "ires_sched_tasks_total counter",
+        "ires_sched_task_wait_seconds histogram",
+        "ires_sched_parks_total counter",
+        "ires_sql_shape_cache_hits_total counter",
+        "ires_sql_shape_cache_misses_total counter"}) {
+    EXPECT_NE(metrics.find(std::string("# TYPE ") + family + "\n"),
+              std::string::npos)
+        << family;
+  }
 }
 
 // ------------------------------------------------- route label cardinality
